@@ -4,8 +4,9 @@
 # it, and runs the full test suite under the race detector — the experiment
 # grids execute simulation cells concurrently (Options.Workers), so
 # race-cleanliness is a correctness requirement, not a style preference.
-# It also replays the committed fuzz seed corpora and fails if statement
-# coverage of internal/... drops below the recorded baseline.
+# It also vets and tests the perfbench module, replays the committed fuzz
+# seed corpora, and fails if statement coverage of internal/... drops below
+# the recorded baseline.
 
 GO ?= go
 COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
@@ -18,7 +19,7 @@ PR ?= 10
 # raises it so the Mann–Whitney U test has samples to work with.
 COUNT ?= 1
 
-.PHONY: ci build vet test test-race fuzz-regress fault-regress multitenant-smoke arrayscale-smoke trim-smoke coverage-gate fuzz bench-run bench bench-gate bench-baseline bench-compare bench-full bench-scale
+.PHONY: ci build vet test test-race perfbench-test fuzz-regress fault-regress multitenant-smoke arrayscale-smoke trim-smoke coverage-gate fuzz bench-run bench bench-gate bench-baseline bench-compare bench-full bench-scale
 
 # Tolerance band for the bytes-per-logical-page memory gate: the FTL's
 # metadata footprint (heap delta around construction, measured by
@@ -32,7 +33,7 @@ BYTES_PER_LPAGE_BAND := bytes/lpage=1.10,1.0
 # baseline-relative bands — the format's reason to exist is quantified.
 BINLOG_FLOORS := -min-metric size-x=10 -min-metric speed-x=5
 
-ci: build vet test-race fuzz-regress fault-regress multitenant-smoke arrayscale-smoke trim-smoke coverage-gate bench-gate
+ci: build vet test-race perfbench-test fuzz-regress fault-regress multitenant-smoke arrayscale-smoke trim-smoke coverage-gate bench-gate
 
 build:
 	$(GO) build ./...
@@ -45,6 +46,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Vet and test the benchmark module in perfbench/. It is a Go module of its
+# own, so the root `go test ./...` never builds it, yet its drivers and its
+# stepped-vs-RunClosedLoop equivalence test call the simulator's stepping
+# API directly.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Replay the committed seed corpora under testdata/fuzz/ as plain unit
 # tests (no -fuzz flag): every crasher we have ever minimised must keep

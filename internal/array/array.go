@@ -359,79 +359,44 @@ func (a *Array) locate(alpn int64) (int, int64) {
 	return int(s % n), (s/n)*stripe + off
 }
 
-// Run executes the request stream open-loop (absolute arrival times).
-func (a *Array) Run(reqs []trace.Request) (Results, error) {
-	if err := trace.ValidateAll(reqs); err != nil {
-		return Results{}, err
-	}
-	return a.run(reqs, false)
-}
-
 // RunClosedLoop executes the request stream closed-loop: each request's
 // Time is a think time after the previous request's array-level completion
 // (the max over its striped segments), so a single slow device stalls the
 // whole stream — exactly the amplification coordination is measured
 // against.
 func (a *Array) RunClosedLoop(reqs []trace.Request) (Results, error) {
-	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			return Results{}, fmt.Errorf("request %d: %w", i, err)
-		}
+	if err := sim.Replay(a, a.cfg.Device.Cache.FlusherPeriod, reqs, true); err != nil {
+		return Results{}, err
 	}
-	return a.run(reqs, true)
+	return a.results(), nil
 }
 
-// run mirrors the single-device event loop: requests interleave with
-// write-back ticks on one clock, and after the last request the ticks keep
-// firing until every device's cache has drained.
-func (a *Array) run(reqs []trace.Request, closed bool) (Results, error) {
+// Begin prepares every member for its first event.
+func (a *Array) Begin() error {
 	for i, d := range a.devs {
 		if err := d.Begin(); err != nil {
-			return Results{}, fmt.Errorf("array: device %d: %w", i, err)
+			return fmt.Errorf("array: device %d: %w", i, err)
 		}
 	}
+	return nil
+}
 
-	period := a.cfg.Device.Cache.FlusherPeriod
-	nextTick := period
-	ri := 0
-	for {
-		var arrival time.Duration
-		if ri < len(reqs) {
-			if closed {
-				arrival = a.lastCompletion + reqs[ri].Time
-			} else {
-				arrival = reqs[ri].Time
-			}
-		}
-		var t time.Duration
-		tick := false
-		switch {
-		case ri < len(reqs) && arrival <= nextTick:
-			t = arrival
-		case ri < len(reqs):
-			t, tick = nextTick, true
-		case a.cfg.Device.DrainCache && (a.anyDirty() || a.maintenancePending()):
-			// Ticks keep firing past the last request until the caches
-			// drain AND pending rebuild/rebalance work runs to completion —
-			// a run does not end with a spare half-migrated.
-			t, tick = nextTick, true
-		default:
-			return a.results(), nil
-		}
-		if tick {
-			if err := a.tick(t); err != nil {
-				return Results{}, err
-			}
-			nextTick += period
-		} else {
-			r := reqs[ri]
-			r.Time = arrival
-			if err := a.handleRequest(r); err != nil {
-				return Results{}, err
-			}
-			ri++
-		}
+// StepRequest serves one array request at its absolute time r.Time and
+// returns the array-level completion the closed-loop clock runs from. A
+// request failed against degraded members is counted, not returned as an
+// error.
+func (a *Array) StepRequest(r trace.Request) (time.Duration, error) {
+	if err := a.handleRequest(r); err != nil {
+		return 0, err
 	}
+	return a.lastCompletion, nil
+}
+
+// Draining reports whether ticks keep firing past the last request: until
+// every healthy member's cache drains AND pending rebuild/rebalance work
+// runs to completion — a run does not end with a spare half-migrated.
+func (a *Array) Draining() bool {
+	return a.cfg.Device.DrainCache && (a.anyDirty() || a.maintenancePending())
 }
 
 // Degraded returns the device failure that degraded member i, or nil while
@@ -442,7 +407,7 @@ func (a *Array) Degraded(i int) error { return a.degraded[i] }
 // fatally. The array keeps running: requests striped onto the member are
 // served from redundancy when configured (failed fast otherwise), the
 // other members keep serving theirs, and the degraded member is skipped by
-// the tick loop and the GC coordinator from here on. Only the first
+// Tick and the GC coordinator from here on. Only the first
 // failure per member is recorded. If the spare pool has a device, a
 // background rebuild starts immediately.
 func (a *Array) degrade(t time.Duration, dev int, err error) {
@@ -456,7 +421,7 @@ func (a *Array) degrade(t time.Duration, dev int, err error) {
 
 // anyDirty reports whether any healthy device's page cache still holds
 // dirty pages. Degraded members are excluded: their caches can never drain,
-// and waiting on them would spin the drain loop forever.
+// and waiting on them would keep the drain ticking forever.
 func (a *Array) anyDirty() bool {
 	for i, d := range a.devs {
 		if a.degraded[i] == nil && d.DirtyPages() > 0 {
@@ -555,14 +520,14 @@ func (a *Array) split(lpn int64, pages int) {
 	}
 }
 
-// tick runs one write-back boundary across the array in three phases —
+// Tick runs one write-back boundary across the array in three phases —
 // every device flushes, every device's policy decides, the coordinator
 // adjusts the decisions, every device applies — so the coordinator sees
 // all demands before any collection is committed.
 // Degraded members are skipped throughout — their caches cannot flush and
 // their policies must not be consulted — and a flush failure on a healthy
 // member degrades it rather than aborting the array run.
-func (a *Array) tick(t time.Duration) error {
+func (a *Array) Tick(t time.Duration) error {
 	if err := a.maybeGrow(t); err != nil {
 		return err
 	}

@@ -221,9 +221,44 @@ func TestSingleDeviceMatchesSimulator(t *testing.T) {
 	}
 }
 
+// TestClosedLoopMergedRecord checks the merged record of a closed-loop run
+// and the per-device accessors reports use.
+func TestClosedLoopMergedRecord(t *testing.T) {
+	a := newArray(t, Config{Devices: 2, StripePages: 4, Device: tinyDevice()})
+	var reqs []trace.Request
+	for i := 0; i < 64; i++ {
+		reqs = append(reqs, trace.Request{
+			Time:  10 * time.Millisecond,
+			Kind:  trace.DirectWrite,
+			LPN:   int64(i*4) % a.UserPages(),
+			Pages: 4,
+		})
+	}
+	res, err := a.RunClosedLoop(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Array.Requests != 64 {
+		t.Errorf("requests = %d, want 64", res.Array.Requests)
+	}
+	if res.Array.DirectPages != 64*4 {
+		t.Errorf("direct pages = %d, want %d", res.Array.DirectPages, 64*4)
+	}
+	if got := res.WAFSpread(); got != res.WAFMax-res.WAFMin || got < 0 {
+		t.Errorf("WAFSpread = %v (min %v, max %v)", got, res.WAFMin, res.WAFMax)
+	}
+	// The stream round-robins stripes, so both members must have served
+	// device writes.
+	for i := 0; i < 2; i++ {
+		if dev := a.Device(i); dev.Results().HostPrograms == 0 {
+			t.Errorf("device %d saw no programs", i)
+		}
+	}
+}
+
 func TestRequestBeyondCapacity(t *testing.T) {
 	a := newArray(t, Config{Devices: 2, StripePages: 4, Device: tinyDevice()})
-	_, err := a.Run([]trace.Request{
+	_, err := a.RunClosedLoop([]trace.Request{
 		{Time: 0, Kind: trace.DirectWrite, LPN: a.UserPages() - 1, Pages: 2},
 	})
 	if !errors.Is(err, sim.ErrTraceBeyondCapacity) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jitgc/internal/core"
 	"jitgc/internal/nand"
 	"jitgc/internal/trace"
 )
@@ -129,5 +130,42 @@ func TestRebuildHooksFaultsPropagate(t *testing.T) {
 	fm.FailFrom(nand.OpRead, 0)
 	if _, err := s.RebuildRead(3*time.Millisecond, 0, 1); err == nil {
 		t.Error("read fault swallowed by RebuildRead")
+	}
+}
+
+// TestRebuildTrimRunsPendingBGC: like a host TRIM at the same instant,
+// RebuildTrim first runs the background GC pending in the idle gap before
+// it, so those collections see the mapping as it was before the trim.
+func TestRebuildTrimRunsPendingBGC(t *testing.T) {
+	collections := func(trim func(s *Simulator, at time.Duration) error) int64 {
+		cfg := tinyConfig()
+		cfg.PreconditionPages = 200
+		s := newSim(t, cfg, lazyFactory)
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		// Overwrite half the working set so victims hold invalid pages.
+		done, err := s.RebuildWrite(0, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.TickApply(done, core.Decision{ReclaimBytes: 1 << 20})
+		if err := trim(s, done+10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return s.FTL().Stats().BGCCollections
+	}
+	host := collections(func(s *Simulator, at time.Duration) error {
+		_, err := s.StepRequest(trace.Request{Time: at, Kind: trace.Trim, LPN: 150, Pages: 1})
+		return err
+	})
+	rebuild := collections(func(s *Simulator, at time.Duration) error {
+		return s.RebuildTrim(at, 150, 1)
+	})
+	if host == 0 {
+		t.Fatal("host TRIM ran no pending collection; the case is not exercised")
+	}
+	if rebuild != host {
+		t.Errorf("RebuildTrim ran %d pending collections, host TRIM %d", rebuild, host)
 	}
 }

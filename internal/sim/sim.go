@@ -248,10 +248,7 @@ func (v view) IdleFraction() float64   { return v.s.idleFrac }
 // Run executes the request stream open-loop: each request's Time field is
 // its absolute arrival time (trace replay).
 func (s *Simulator) Run(reqs []trace.Request) (metrics.Results, error) {
-	if err := trace.ValidateAll(reqs); err != nil {
-		return metrics.Results{}, err
-	}
-	return s.run(reqs, false)
+	return s.replay(reqs, false)
 }
 
 // RunClosedLoop executes the request stream closed-loop, the way the
@@ -261,63 +258,19 @@ func (s *Simulator) Run(reqs []trace.Request) (metrics.Results, error) {
 // subsequent work later and directly reduce IOPS, while think-time gaps
 // provide the idle periods background GC exploits.
 func (s *Simulator) RunClosedLoop(reqs []trace.Request) (metrics.Results, error) {
-	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			return metrics.Results{}, fmt.Errorf("request %d: %w", i, err)
-		}
-	}
-	return s.run(reqs, true)
+	return s.replay(reqs, true)
 }
 
-func (s *Simulator) run(reqs []trace.Request, closed bool) (metrics.Results, error) {
-	if err := s.precondition(); err != nil {
+func (s *Simulator) replay(reqs []trace.Request, closed bool) (metrics.Results, error) {
+	if err := Replay(s, s.cfg.Cache.FlusherPeriod, reqs, closed); err != nil {
 		return metrics.Results{}, err
 	}
-
-	period := s.cfg.Cache.FlusherPeriod
-	nextTick := period
-	ri := 0
-	for {
-		var arrival time.Duration
-		if ri < len(reqs) {
-			if closed {
-				arrival = s.lastCompletion + reqs[ri].Time
-			} else {
-				arrival = reqs[ri].Time
-			}
-		}
-		var t time.Duration
-		tick := false
-		switch {
-		case ri < len(reqs) && arrival <= nextTick:
-			t = arrival
-		case ri < len(reqs):
-			t, tick = nextTick, true
-		case s.cfg.DrainCache && s.cache.DirtyPageCount() > 0:
-			t, tick = nextTick, true
-		default:
-			return s.results(), nil
-		}
-		s.runBGCUntil(t)
-		if tick {
-			if err := s.handleTick(t); err != nil {
-				return metrics.Results{}, err
-			}
-			nextTick += period
-		} else {
-			r := reqs[ri]
-			r.Time = arrival
-			if err := s.handleRequest(r); err != nil {
-				return metrics.Results{}, err
-			}
-			ri++
-		}
-	}
+	return s.Results(), nil
 }
 
 // precondition sequentially fills the configured working set and resets the
 // counters so measurement starts from a realistic steady occupancy. It runs
-// at most once per simulator, so Begin and run compose.
+// at most once per simulator, so Begin and a run compose.
 func (s *Simulator) precondition() error {
 	n := s.cfg.PreconditionPages
 	if n == 0 || s.preconditioned {
@@ -384,62 +337,45 @@ func (s *Simulator) runBGCUntil(t time.Duration) {
 	}
 }
 
-// handleRequest services one host request.
+// advance runs pending background GC in the idle gap before t, then moves
+// the clock to t: the prologue of every event.
+func (s *Simulator) advance(t time.Duration) {
+	s.runBGCUntil(t)
+	s.now = t
+	s.ftl.SetNow(t)
+}
+
+// handleRequest services one host request at the current clock.
 func (s *Simulator) handleRequest(r trace.Request) error {
-	s.now = r.Time
-	s.ftl.SetNow(r.Time)
 	if r.End() > s.ftl.UserPages() {
 		return fmt.Errorf("%w: lpn %d..%d, capacity %d", ErrTraceBeyondCapacity, r.LPN, r.End(), s.ftl.UserPages())
 	}
 	switch r.Kind {
 	case trace.Read:
-		var d time.Duration
-		hits := 0
-		for i := 0; i < r.Pages; i++ {
-			lpn := r.LPN + int64(i)
-			// A dirty page is served from the page cache at RAM speed;
-			// only cache misses touch the device.
-			if s.cache.IsDirty(lpn) {
-				hits++
-				continue
-			}
-			rd, err := s.ftl.Read(lpn)
-			if err != nil {
-				return err
-			}
-			d += rd
+		d, hits, err := s.readPages(r.LPN, r.Pages)
+		if err != nil {
+			return err
 		}
 		s.cacheReadHits += int64(hits)
 		if d == 0 {
 			s.complete(r.Time, r.Time+ramLatency)
 			break
 		}
-		s.completeOnDevice(r.Time, s.scale(d))
+		s.complete(r.Time, s.book(r.Time, s.scale(d)))
 
 	case trace.DirectWrite:
-		var d, fgc time.Duration
-		for i := 0; i < r.Pages; i++ {
-			wd, wf, err := s.ftl.Write(r.LPN + int64(i))
-			if err != nil {
-				return err
-			}
-			d += wd
-			fgc += wf
+		d, err := s.writePages(r.LPN, r.Pages)
+		if err != nil {
+			return err
 		}
-		bytes := int64(r.Pages) * int64(s.ftl.PageSize())
 		s.directPages += int64(r.Pages)
-		s.observeWrite(bytes, true)
-		s.completeOnDevice(r.Time, s.scale(d)+fgc)
+		s.observeWrite(int64(r.Pages)*int64(s.ftl.PageSize()), true)
+		s.complete(r.Time, s.book(r.Time, d))
 
 	case trace.Trim:
-		// Discards are metadata-only: drop any dirty copies and clear the
-		// FTL mapping; the request completes at RAM speed.
-		for i := 0; i < r.Pages; i++ {
-			lpn := r.LPN + int64(i)
-			s.cache.Drop(lpn)
-			if err := s.ftl.Trim(lpn); err != nil {
-				return err
-			}
+		// Discards are metadata-only; the request completes at RAM speed.
+		if err := s.trimPages(r.LPN, r.Pages); err != nil {
+			return err
 		}
 		if o, ok := s.policy.(trimObserver); ok {
 			o.ObserveTrim(int64(r.Pages) * int64(s.ftl.PageSize()))
@@ -458,7 +394,7 @@ func (s *Simulator) handleRequest(r trace.Request) error {
 		// Cache pressure: the writer stalls until the synchronous
 		// write-out of the oldest dirty pages completes. writeBack
 		// advances the device timeline itself.
-		if _, err := s.writeBack(reclaimed); err != nil {
+		if err := s.writeBack(reclaimed); err != nil {
 			return err
 		}
 		s.complete(r.Time, s.deviceFreeAt)
@@ -467,34 +403,73 @@ func (s *Simulator) handleRequest(r trace.Request) error {
 	return nil
 }
 
-// handleTick runs the flusher and the BGC policy at a write-back interval
-// boundary.
-func (s *Simulator) handleTick(t time.Duration) error {
-	if err := s.tickFlush(t); err != nil {
+// Timeline returns the per-interval samples captured during the run when
+// Config.RecordTimeline is set.
+func (s *Simulator) Timeline() []metrics.TimelinePoint { return s.timeline }
+
+// IntervalActuals returns the device write volume (bytes) of each closed
+// write-back interval of the run — the series an Oracle policy replays.
+func (s *Simulator) IntervalActuals() []int64 { return s.acc.Actuals() }
+
+// The stepping API below advances a simulator one event at a time. Drive
+// (driver.go) is the one event loop built on it: Run and RunClosedLoop
+// replay a trace through it, the array backend steps its members from its
+// own Tick and StepRequest, and the multi-tenant engine dispatches its
+// queues through it. A stepped simulator is driven open-loop (absolute
+// request times); closed-loop arrivals are computed by the front end.
+
+// Begin prepares the simulator for stepping: the device is preconditioned
+// exactly as a full run would before its first event.
+func (s *Simulator) Begin() error { return s.precondition() }
+
+// StepRequest services one host request at its absolute arrival time
+// r.Time, first running pending background GC in the idle gap before it,
+// and returns the request's completion time.
+func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
+	if err := r.Validate(); err != nil {
+		return 0, err
+	}
+	s.advance(r.Time)
+	if err := s.handleRequest(r); err != nil {
+		return 0, err
+	}
+	return s.lastCompletion, nil
+}
+
+// Tick runs a whole write-back boundary at t: TickFlush, then the
+// installed policy's decision applied unchanged.
+func (s *Simulator) Tick(t time.Duration) error {
+	if err := s.TickFlush(t); err != nil {
 		return err
 	}
-	s.tickApply(t, s.policy.OnInterval(t, s.pview))
+	s.TickApply(t, s.TickDecide(t))
 	return nil
 }
 
-// tickFlush is the first tick phase: advance the clock, score the previous
-// interval, and run the cache flusher.
-func (s *Simulator) tickFlush(t time.Duration) error {
-	s.now = t
-	s.ftl.SetNow(t)
+// TickFlush runs the first phase of the write-back boundary at t: pending
+// background GC executes in the idle gap before t, the previous interval
+// is scored, then the cache flusher writes expired pages back.
+func (s *Simulator) TickFlush(t time.Duration) error {
+	s.advance(t)
 	s.acc.Tick()
 	s.updateIdleFraction()
-
 	if lpns := s.cache.Flush(t); len(lpns) > 0 {
-		if _, err := s.writeBack(lpns); err != nil {
-			return err
-		}
+		return s.writeBack(lpns)
 	}
 	return nil
 }
 
-// tickApply is the final tick phase: install the interval decision.
-func (s *Simulator) tickApply(t time.Duration, dec core.Decision) {
+// TickDecide runs the second phase: the installed policy's decision for
+// the interval starting at t. The driver may adjust the decision — that is
+// where an array GC coordinator intervenes — before handing it back to
+// TickApply.
+func (s *Simulator) TickDecide(t time.Duration) core.Decision {
+	return s.policy.OnInterval(t, s.pview)
+}
+
+// TickApply runs the final phase: install dec (possibly adjusted by the
+// driver) as this interval's background GC program.
+func (s *Simulator) TickApply(t time.Duration, dec core.Decision) {
 	free := s.ftl.WritableBytes()
 	if dec.HasSIP {
 		s.ftl.SetSIPList(dec.SIP)
@@ -526,78 +501,24 @@ func (s *Simulator) tickApply(t time.Duration, dec core.Decision) {
 	}
 }
 
-// Timeline returns the per-interval samples captured during the run when
-// Config.RecordTimeline is set.
-func (s *Simulator) Timeline() []metrics.TimelinePoint { return s.timeline }
-
-// IntervalActuals returns the device write volume (bytes) of each closed
-// write-back interval of the run — the series an Oracle policy replays.
-func (s *Simulator) IntervalActuals() []int64 { return s.acc.Actuals() }
-
-// The stepping API below lets an external driver — the multi-device array
-// backend — advance several simulators on one shared clock, interleaving
-// their events and intercepting their per-interval GC decisions. Run and
-// RunClosedLoop remain the single-device entry points; a stepped simulator
-// is driven open-loop (absolute request times), with any closed-loop
-// arrival computation done by the driver at the array level.
-
-// Begin prepares the simulator for externally driven stepping: the device
-// is preconditioned exactly as a full run would before its first event.
-func (s *Simulator) Begin() error { return s.precondition() }
-
-// StepRequest services one host request at its absolute arrival time
-// r.Time, first running pending background GC in the idle gap before it,
-// and returns the request's completion time.
-func (s *Simulator) StepRequest(r trace.Request) (time.Duration, error) {
-	if err := r.Validate(); err != nil {
-		return 0, err
-	}
-	s.runBGCUntil(r.Time)
-	if err := s.handleRequest(r); err != nil {
-		return 0, err
-	}
-	return s.lastCompletion, nil
-}
-
-// TickFlush runs the first phase of the write-back boundary at t: pending
-// background GC executes in the idle gap before t, then the cache flusher
-// writes expired pages back.
-func (s *Simulator) TickFlush(t time.Duration) error {
-	s.runBGCUntil(t)
-	return s.tickFlush(t)
-}
-
-// TickDecide runs the second phase: the installed policy's decision for
-// the interval starting at t. The driver may adjust the decision — that is
-// where an array GC coordinator intervenes — before handing it back to
-// TickApply.
-func (s *Simulator) TickDecide(t time.Duration) core.Decision {
-	return s.policy.OnInterval(t, s.pview)
-}
-
-// TickApply runs the final phase: install dec (possibly adjusted by the
-// driver) as this interval's background GC program.
-func (s *Simulator) TickApply(t time.Duration, dec core.Decision) {
-	s.tickApply(t, dec)
+// Draining reports whether the drain rule keeps ticking after the last
+// request: DrainCache is set and the cache still holds dirty pages.
+func (s *Simulator) Draining() bool {
+	return s.cfg.DrainCache && s.cache.DirtyPageCount() > 0
 }
 
 // DirtyPages returns the number of dirty pages still held by the page
-// cache, the driver's drain condition.
+// cache.
 func (s *Simulator) DirtyPages() int { return s.cache.DirtyPageCount() }
 
 // DeviceFreeAt returns the time the device timeline is booked through —
 // when the device next falls idle. It is the decoupling point an open-loop
-// driver needs: Run's closed-loop host issues a request and implicitly
-// blocks on its completion, whereas an open-loop front end (the
-// multi-tenant engine) lets arrivals accumulate in its own queues while the
-// device is stalled and dispatches the next scheduled request exactly at
-// this instant, so queue wait — not think-time suppression — absorbs a
-// mistimed collection.
+// front end needs: trace replay issues a request and implicitly blocks on
+// its completion, whereas the multi-tenant engine lets arrivals accumulate
+// in its own queues while the device is stalled and dispatches the next
+// scheduled request exactly at this instant, so queue wait — not
+// think-time suppression — absorbs a mistimed collection.
 func (s *Simulator) DeviceFreeAt() time.Duration { return s.deviceFreeAt }
-
-// Results assembles the run results accumulated so far. For stepped
-// simulators the driver calls it once after the final event.
-func (s *Simulator) Results() metrics.Results { return s.results() }
 
 // The maintenance I/O hooks below serve the array driver's rebuild and
 // rebalancing paths: shard migration reads/writes share the device timeline
@@ -610,36 +531,17 @@ func (s *Simulator) Results() metrics.Results { return s.results() }
 // at lpn and returns its completion time. Dirty pages still sitting in the
 // page cache are served from RAM; only misses touch the device.
 func (s *Simulator) RebuildRead(t time.Duration, lpn int64, pages int) (time.Duration, error) {
-	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
-		return 0, fmt.Errorf("%w: rebuild read lpn %d..%d, capacity %d",
-			ErrTraceBeyondCapacity, lpn, lpn+int64(pages), s.ftl.UserPages())
+	if err := s.maintain("read", t, lpn, pages); err != nil {
+		return 0, err
 	}
-	s.runBGCUntil(t)
-	s.now = t
-	s.ftl.SetNow(t)
-	var d time.Duration
-	for i := 0; i < pages; i++ {
-		lp := lpn + int64(i)
-		if s.cache.IsDirty(lp) {
-			continue
-		}
-		rd, err := s.ftl.Read(lp)
-		if err != nil {
-			return 0, err
-		}
-		d += rd
+	d, _, err := s.readPages(lpn, pages)
+	if err != nil {
+		return 0, err
 	}
 	if d == 0 {
 		return t + ramLatency, nil
 	}
-	d = s.scale(d)
-	start := t
-	if s.deviceFreeAt > start {
-		start = s.deviceFreeAt
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	return s.deviceFreeAt, nil
+	return s.book(t, s.scale(d)), nil
 }
 
 // RebuildWrite services a maintenance write of pages logical pages starting
@@ -648,13 +550,62 @@ func (s *Simulator) RebuildRead(t time.Duration, lpn int64, pages int) (time.Dur
 // other device write — the target's GC policy must see rebuild traffic to
 // keep up with it.
 func (s *Simulator) RebuildWrite(t time.Duration, lpn int64, pages int) (time.Duration, error) {
-	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
-		return 0, fmt.Errorf("%w: rebuild write lpn %d..%d, capacity %d",
-			ErrTraceBeyondCapacity, lpn, lpn+int64(pages), s.ftl.UserPages())
+	if err := s.maintain("write", t, lpn, pages); err != nil {
+		return 0, err
 	}
-	s.runBGCUntil(t)
-	s.now = t
-	s.ftl.SetNow(t)
+	d, err := s.writePages(lpn, pages)
+	if err != nil {
+		return 0, err
+	}
+	s.observeWrite(int64(pages)*int64(s.ftl.PageSize()), false)
+	return s.book(t, d), nil
+}
+
+// RebuildTrim drops pages logical pages starting at lpn — any dirty cached
+// copies are discarded and the FTL mappings cleared. Metadata only: the
+// device timeline does not advance. Rebalancing uses it to release a
+// migrated stripe's old location.
+func (s *Simulator) RebuildTrim(t time.Duration, lpn int64, pages int) error {
+	if err := s.maintain("trim", t, lpn, pages); err != nil {
+		return err
+	}
+	return s.trimPages(lpn, pages)
+}
+
+// maintain is the prologue of the maintenance hooks: it rejects ranges
+// outside user capacity, then advances to t like a host request would.
+func (s *Simulator) maintain(op string, t time.Duration, lpn int64, pages int) error {
+	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
+		return fmt.Errorf("%w: rebuild %s lpn %d..%d, capacity %d",
+			ErrTraceBeyondCapacity, op, lpn, lpn+int64(pages), s.ftl.UserPages())
+	}
+	s.advance(t)
+	return nil
+}
+
+// readPages reads pages logical pages starting at lpn and returns the
+// serial NAND time of the cache misses and the number of cache hits: a
+// dirty page is served from the page cache at RAM speed.
+func (s *Simulator) readPages(lpn int64, pages int) (d time.Duration, hits int, err error) {
+	for i := 0; i < pages; i++ {
+		lp := lpn + int64(i)
+		if s.cache.IsDirty(lp) {
+			hits++
+			continue
+		}
+		rd, err := s.ftl.Read(lp)
+		if err != nil {
+			return 0, 0, err
+		}
+		d += rd
+	}
+	return d, hits, nil
+}
+
+// writePages writes pages logical pages starting at lpn directly to the
+// FTL and returns the device time consumed (striped programs plus serial
+// foreground-GC stalls).
+func (s *Simulator) writePages(lpn int64, pages int) (time.Duration, error) {
 	var d, fgc time.Duration
 	for i := 0; i < pages; i++ {
 		wd, wf, err := s.ftl.Write(lpn + int64(i))
@@ -664,28 +615,12 @@ func (s *Simulator) RebuildWrite(t time.Duration, lpn int64, pages int) (time.Du
 		d += wd
 		fgc += wf
 	}
-	s.observeWrite(int64(pages)*int64(s.ftl.PageSize()), false)
-	d = s.scale(d) + fgc
-	start := t
-	if s.deviceFreeAt > start {
-		start = s.deviceFreeAt
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	return s.deviceFreeAt, nil
+	return s.scale(d) + fgc, nil
 }
 
-// RebuildTrim drops pages logical pages starting at lpn — any dirty cached
-// copies are discarded and the FTL mappings cleared. Metadata only: the
-// device timeline does not advance. Rebalancing uses it to release a
-// migrated stripe's old location.
-func (s *Simulator) RebuildTrim(t time.Duration, lpn int64, pages int) error {
-	if lpn < 0 || lpn+int64(pages) > s.ftl.UserPages() {
-		return fmt.Errorf("%w: rebuild trim lpn %d..%d, capacity %d",
-			ErrTraceBeyondCapacity, lpn, lpn+int64(pages), s.ftl.UserPages())
-	}
-	s.now = t
-	s.ftl.SetNow(t)
+// trimPages discards pages logical pages starting at lpn: dirty cached
+// copies are dropped and the FTL mappings cleared.
+func (s *Simulator) trimPages(lpn int64, pages int) error {
 	for i := 0; i < pages; i++ {
 		lp := lpn + int64(i)
 		s.cache.Drop(lp)
@@ -713,42 +648,34 @@ func (s *Simulator) updateIdleFraction() {
 	s.idleFrac = alpha*frac + (1-alpha)*s.idleFrac
 }
 
-// writeBack issues flushed cache pages to the FTL, advancing the device
-// timeline, and returns the device time consumed (striped programs plus
-// serial foreground-GC stalls).
-func (s *Simulator) writeBack(lpns []int64) (time.Duration, error) {
+// writeBack issues flushed cache pages to the FTL and books their device
+// time (striped programs plus serial foreground-GC stalls) on the timeline.
+func (s *Simulator) writeBack(lpns []int64) error {
 	var d, fgc time.Duration
 	for _, lpn := range lpns {
 		wd, wf, err := s.ftl.Write(lpn)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		d += wd
 		fgc += wf
 	}
-	d = s.scale(d) + fgc
-	start := s.deviceFreeAt
-	if start < s.now {
-		start = s.now
-	}
-	s.deviceFreeAt = start + d
-	s.hostBusy += d
-	bytes := int64(len(lpns)) * int64(s.ftl.PageSize())
+	s.book(s.now, s.scale(d)+fgc)
 	s.bufferedPages += int64(len(lpns))
-	s.observeWrite(bytes, false)
-	return d, nil
+	s.observeWrite(int64(len(lpns))*int64(s.ftl.PageSize()), false)
+	return nil
 }
 
-// completeOnDevice queues device work of (already occupancy-scaled)
-// duration d for a request arriving at arrival and records its completion.
-func (s *Simulator) completeOnDevice(arrival time.Duration, d time.Duration) {
-	start := arrival
-	if s.deviceFreeAt > start {
-		start = s.deviceFreeAt
+// book queues d of (already occupancy-scaled) device time behind the work
+// already on the timeline, starting no earlier than at, counts it as
+// host-driven busy time, and returns its completion.
+func (s *Simulator) book(at, d time.Duration) time.Duration {
+	if s.deviceFreeAt > at {
+		at = s.deviceFreeAt
 	}
-	s.deviceFreeAt = start + d
+	s.deviceFreeAt = at + d
 	s.hostBusy += d
-	s.complete(arrival, start+d)
+	return s.deviceFreeAt
 }
 
 // complete records a host request completion.
@@ -775,8 +702,8 @@ func (s *Simulator) observeWrite(bytes int64, direct bool) {
 	s.acc.AddActual(bytes)
 }
 
-// results assembles the run results.
-func (s *Simulator) results() metrics.Results {
+// Results assembles the run results accumulated so far.
+func (s *Simulator) Results() metrics.Results {
 	st := s.ftl.Stats()
 	simTime := s.opsEnd
 	if s.deviceFreeAt > simTime {

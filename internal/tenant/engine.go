@@ -71,7 +71,7 @@ type Results struct {
 // to a stepped device simulator, and per-tenant streaming histograms score
 // completions against class SLOs.
 //
-// The event loop is the open-loop decoupling the closed-loop simulator
+// As a front end of sim.Drive it is the open-loop decoupling trace replay
 // cannot express: arrivals are pure queue insertions that never touch the
 // device, so they keep accumulating while the device is stalled behind a
 // non-preemptible collection; dispatches happen when the device frees up,
@@ -90,6 +90,7 @@ type Engine struct {
 	// Min-heap of tenants with arrivals left, keyed by next arrival time
 	// (ties broken by tenant index, so interleavings are deterministic).
 	heap []int32
+	now  time.Duration // time of the last arrival or dispatch
 
 	class      []int // tenant → class index
 	hists      []*telemetry.LogHist
@@ -221,83 +222,68 @@ func (e *Engine) heapPop() int32 {
 
 // Run executes the engine to completion: every arrival offered, every
 // queue drained, and — when the device config drains its cache — every
-// buffered write flushed.
+// buffered write flushed. The engine is an open-loop front end of
+// sim.Drive: its events are arrivals and dispatches, and an event at a
+// write-back tick instant fires before the tick.
 func (e *Engine) Run() (Results, error) {
-	if err := e.sim.Begin(); err != nil {
+	if err := sim.Drive(e.sim, e.cfg.Device.Cache.FlusherPeriod, e.next, e.fire); err != nil {
 		return Results{}, err
 	}
-	const never = time.Duration(math.MaxInt64)
-	period := e.cfg.Device.Cache.FlusherPeriod
-	nextTick := period
-	var now time.Duration
+	return e.results(), nil
+}
 
-	for {
-		// The three candidate events. Ties resolve arrival → dispatch →
-		// tick, matching the closed-loop simulator's request-before-tick
-		// convention.
-		tArr := never
-		if len(e.heap) > 0 {
-			tArr = e.nextArrival(e.heap[0])
-		}
-		tDisp := never
-		if e.sched.backlogged() {
-			tDisp = e.sim.DeviceFreeAt()
-			if tDisp < now {
-				tDisp = now
-			}
-		}
-		if tArr == never && tDisp == never {
-			if !e.cfg.Device.DrainCache || e.sim.DirtyPages() == 0 {
-				break
-			}
-		}
-
-		switch {
-		case tArr <= tDisp && tArr <= nextTick:
-			// Arrival: a pure queue insertion — the device is untouched,
-			// so load keeps arriving while it is stalled.
-			t := e.heapPop()
-			r := e.streams[t][e.nextIdx[t]]
-			e.nextIdx[t]++
-			e.arrivalsBy[t]++
-			if !e.sched.admit(int(t), pending{arrival: r.Time, req: r}) {
-				e.dropsBy[t]++
-			}
-			if e.nextIdx[t] < len(e.streams[t]) {
-				e.heapPush(t)
-			}
-			now = r.Time
-
-		case tDisp <= nextTick:
-			// Dispatch: the scheduler's DRR pick is issued at the instant
-			// the device frees up; latency runs from queue arrival.
-			t, p, _ := e.sched.dispatch()
-			req := p.req
-			req.Time = tDisp
-			comp, err := e.sim.StepRequest(req)
-			if err != nil {
-				return Results{}, fmt.Errorf("tenant %d: %w", t, err)
-			}
-			lat := comp - p.arrival
-			e.hists[t].Add(int64(lat))
-			e.doneBy[t]++
-			if lat > e.cfg.Classes[e.class[t]].SLO {
-				e.violBy[t]++
-			}
-			now = tDisp
-
-		default:
-			// Write-back tick: flusher, then the BGC policy's interval
-			// decision.
-			if err := e.sim.TickFlush(nextTick); err != nil {
-				return Results{}, err
-			}
-			e.sim.TickApply(nextTick, e.sim.TickDecide(nextTick))
-			now = nextTick
-			nextTick += period
+// next returns the time of the engine's next event: the earliest pending
+// arrival, or — while the scheduler holds a backlog — the dispatch at the
+// instant the device frees up (never before the current time).
+func (e *Engine) next() (time.Duration, bool) {
+	t := time.Duration(math.MaxInt64)
+	if len(e.heap) > 0 {
+		t = e.nextArrival(e.heap[0])
+	}
+	if e.sched.backlogged() {
+		if d := max(e.sim.DeviceFreeAt(), e.now); d < t {
+			t = d
 		}
 	}
-	return e.results(), nil
+	return t, t != math.MaxInt64
+}
+
+// fire runs the event next chose at t. An arrival wins a tie with a
+// dispatch, so a request arriving as the device frees up is admitted before
+// the scheduler picks.
+func (e *Engine) fire(t time.Duration) error {
+	e.now = t
+	if len(e.heap) > 0 && e.nextArrival(e.heap[0]) == t {
+		// Arrival: a pure queue insertion — the device is untouched, so
+		// load keeps arriving while it is stalled.
+		i := e.heapPop()
+		r := e.streams[i][e.nextIdx[i]]
+		e.nextIdx[i]++
+		e.arrivalsBy[i]++
+		if !e.sched.admit(int(i), pending{arrival: r.Time, req: r}) {
+			e.dropsBy[i]++
+		}
+		if e.nextIdx[i] < len(e.streams[i]) {
+			e.heapPush(i)
+		}
+		return nil
+	}
+	// Dispatch: the scheduler's DRR pick is issued at the instant the device
+	// frees up; latency runs from queue arrival.
+	i, p, _ := e.sched.dispatch()
+	req := p.req
+	req.Time = t
+	comp, err := e.sim.StepRequest(req)
+	if err != nil {
+		return fmt.Errorf("tenant %d: %w", i, err)
+	}
+	lat := comp - p.arrival
+	e.hists[i].Add(int64(lat))
+	e.doneBy[i]++
+	if lat > e.cfg.Classes[e.class[i]].SLO {
+		e.violBy[i]++
+	}
+	return nil
 }
 
 // results assembles the run verdicts.

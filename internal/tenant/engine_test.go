@@ -9,6 +9,7 @@ import (
 	"jitgc/internal/nand"
 	"jitgc/internal/pagecache"
 	"jitgc/internal/sim"
+	"jitgc/internal/trace"
 )
 
 // tinyDevice builds a small but GC-capable shared device: 32 blocks × 16
@@ -159,4 +160,77 @@ func TestEngineLatencyIncludesQueueWait(t *testing.T) {
 	if open <= device {
 		t.Errorf("open-loop p99.9 %v ≤ device-observed p99 %v: queue wait not counted", open, device)
 	}
+}
+
+// scripted builds an engine whose tenants replay the given absolute-time
+// arrival streams instead of synthesized ones.
+func scripted(t *testing.T, cfg Config, streams ...[]trace.Request) *Engine {
+	t.Helper()
+	cfg.Tenants = len(streams)
+	eng, err := New(cfg, lazyFactory)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	eng.streams = streams
+	eng.nextIdx = make([]int, len(streams))
+	eng.heap = eng.heap[:0]
+	for i := range streams {
+		eng.heapPush(int32(i))
+	}
+	return eng
+}
+
+// TestEngineTieOrder pins the event order at one instant: arrival, then
+// dispatch, then write-back tick.
+func TestEngineTieOrder(t *testing.T) {
+	cfg := tinyEngineConfig()
+	cfg.Device.RecordTimeline = true
+	period := cfg.Device.Cache.FlusherPeriod
+
+	t.Run("dispatch-before-tick", func(t *testing.T) {
+		// Arriving at the tick instant on an idle device, the write is
+		// admitted and dispatched before the tick samples the cache.
+		eng := scripted(t, cfg, []trace.Request{
+			{Time: period, Kind: trace.BufferedWrite, LPN: 0, Pages: 4},
+		})
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tl := eng.Sim().Timeline()
+		if len(tl) == 0 || tl[0].T != period || tl[0].DirtyPages != 4 {
+			t.Errorf("first tick sample %+v, want 4 dirty pages at %v", tl, period)
+		}
+	})
+
+	t.Run("arrival-before-dispatch", func(t *testing.T) {
+		// r0 occupies the device until c0 and r1 fills the depth-1 queue
+		// behind it. r2 arrives exactly at c0, when r1 is dispatched: the
+		// arrival goes first, finds the queue full and is dropped.
+		cfg := cfg
+		cfg.QueueDepth = 1
+		r0 := trace.Request{Time: 10 * time.Millisecond, Kind: trace.DirectWrite, LPN: 0, Pages: 8}
+		probe := scripted(t, cfg, []trace.Request{r0})
+		if err := probe.Sim().Begin(); err != nil {
+			t.Fatal(err)
+		}
+		c0, err := probe.Sim().StepRequest(r0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c0 >= period {
+			t.Fatalf("r0 completes at %v, past the first tick", c0)
+		}
+		eng := scripted(t, cfg, []trace.Request{
+			r0,
+			{Time: r0.Time + 1, Kind: trace.Read, LPN: 0, Pages: 1},
+			{Time: c0, Kind: trace.Read, LPN: 1, Pages: 1},
+		})
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Dropped != 1 || res.Completed != 2 {
+			t.Errorf("dropped %d, completed %d; want 1 and 2", res.Dropped, res.Completed)
+		}
+	})
 }
