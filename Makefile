@@ -13,7 +13,7 @@ COVERAGE_BASELINE := $(shell cat ci/coverage-baseline.txt)
 
 # PR number stamped into archived benchmark artifacts (BENCH_pr$(PR).json).
 # Bump per PR instead of editing the bench targets.
-PR ?= 10
+PR ?= 13
 
 # Benchmark repeats per run. 1 for the smoke run and gate; bench-compare
 # raises it so the Mann–Whitney U test has samples to work with.
@@ -116,9 +116,11 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeMSR -fuzztime 30s ./internal/trace/
 
 # Benchmark smoke run: one iteration of the telemetry-overhead benchmarks
-# plus the latency-recorder and hot-path (victim selection, steady-state
-# write) microbenchmarks, collected into bench.out. The paper benchmarks
-# run at full scale via bench-full.
+# plus the latency-recorder, hot-path (victim selection, steady-state
+# write) and datapath-layer (page-cache flush and eviction at three
+# dirty-set sizes, buffered predictor scan, simulator tick)
+# microbenchmarks, collected into bench.out. The paper benchmarks run at
+# full scale via bench-full.
 bench-run:
 	$(GO) test -bench='Telemetry|StreamingLatency' -benchmem -benchtime=1x -count=$(COUNT) -run '^$$' . | tee bench.out
 	$(GO) test -bench='LogHist|Percentile' -benchmem -benchtime=100x -count=$(COUNT) -run '^$$' \
@@ -127,6 +129,12 @@ bench-run:
 		./internal/ftl/ | tee -a bench.out
 	$(GO) test -bench='FTLMemoryFootprint' -benchmem -benchtime=1x -count=$(COUNT) -run '^$$' \
 		./internal/ftl/ | tee -a bench.out
+	$(GO) test -bench='CacheFlush|CacheEvict' -benchmem -benchtime=200x -count=$(COUNT) -run '^$$' \
+		./internal/pagecache/ | tee -a bench.out
+	$(GO) test -bench='BufferedPredict' -benchmem -benchtime=200x -count=$(COUNT) -run '^$$' \
+		./internal/predictor/ | tee -a bench.out
+	$(GO) test -bench='SimTick' -benchmem -benchtime=100x -count=$(COUNT) -run '^$$' \
+		./internal/sim/ | tee -a bench.out
 	$(GO) test -bench='Dispatch|Arrival' -benchmem -benchtime=10000x -count=$(COUNT) -run '^$$' \
 		./internal/tenant/ | tee -a bench.out
 	$(GO) test -bench='BinlogEncode|BinlogDecode|JSONLEncode' -benchmem -benchtime=200000x -count=$(COUNT) -run '^$$' \

@@ -32,6 +32,8 @@ type JITGC struct {
 	// DisableSIP suppresses SIP-list forwarding (ablation knob: JIT timing
 	// without victim filtering).
 	DisableSIP bool
+
+	demand []int64 // OnInterval's scratch for D^i_buf + D^i_dir
 }
 
 // JITOptions tunes the JIT-GC manager.
@@ -87,8 +89,8 @@ func (j *JITGC) Name() string { return "JIT-GC" }
 // The simulator calls it as direct writes reach the device.
 func (j *JITGC) ObserveDirect(bytes int64) { j.direct.Observe(bytes) }
 
-// Predict exposes the combined prediction at time now (used by tests and
-// by OnInterval).
+// Predict exposes the combined prediction at time now for inspection. It
+// advances the buffered predictor's scan state exactly as OnInterval does.
 func (j *JITGC) Predict(now time.Duration) predictor.Prediction {
 	dbuf, sip := j.buffered.Predict(now)
 	return predictor.Prediction{Buffered: dbuf, Direct: j.direct.Predict(), SIP: sip}
@@ -97,18 +99,18 @@ func (j *JITGC) Predict(now time.Duration) predictor.Prediction {
 // OnInterval implements Policy.
 func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 	j.direct.Tick()
-	p := j.Predict(now)
+	dbuf, sip := j.buffered.Predict(now)
+	// Ddir spreads the CDH reserve evenly over the same Nwb intervals.
+	ddir := j.direct.PerInterval()
 
-	demand := make([]int64, len(p.Buffered))
-	for i := range demand {
-		demand[i] = p.Buffered[i]
-		if i < len(p.Direct) {
-			demand[i] += p.Direct[i]
-		}
+	demand := j.demand[:0]
+	for _, v := range dbuf {
+		demand = append(demand, v+ddir)
 	}
-	d := Decision{PredictedBytes: p.Total()}
+	j.demand = demand
+	d := Decision{PredictedBytes: dbuf.Total() + ddir*int64(len(dbuf))}
 	if !j.DisableSIP {
-		d.SIP = p.SIP
+		d.SIP = sip
 		d.HasSIP = true
 	}
 
@@ -120,11 +122,8 @@ func (j *JITGC) OnInterval(now time.Duration, view DeviceView) Decision {
 	// interval — so the flush wave due in two ticks is also treated as a
 	// hard deadline. Direct demand stays rate-based: the next tick's k=0
 	// check covers it.
-	if len(p.Buffered) >= 2 {
-		hard := p.Buffered[0] + p.Buffered[1]
-		if len(p.Direct) > 0 {
-			hard += p.Direct[0]
-		}
+	if len(dbuf) >= 2 {
+		hard := dbuf[0] + dbuf[1] + ddir
 		if r := hard - view.FreeBytes(); r > d.ReclaimBytes {
 			d.ReclaimBytes = r
 		}

@@ -9,7 +9,8 @@ package pagecache
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"iter"
+	"math"
 	"time"
 )
 
@@ -32,6 +33,10 @@ type Config struct {
 	FlushRatio float64
 }
 
+// maxPages bounds both the cache capacity and the length of one write, so
+// the dirty list's 32-bit slot numbers cannot overflow.
+const maxPages = 1 << 29
+
 // DefaultConfig mirrors the paper's running example: p = 5 s,
 // τ_expire = 30 s, τ_flush = 10%.
 func DefaultConfig() Config {
@@ -50,8 +55,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.PageSize <= 0:
 		return fmt.Errorf("pagecache: page size %d", c.PageSize)
-	case c.CapacityPages <= 0:
-		return fmt.Errorf("pagecache: capacity %d pages", c.CapacityPages)
+	case c.CapacityPages <= 0 || c.CapacityPages > maxPages:
+		return fmt.Errorf("pagecache: capacity %d pages outside (0,%d]", c.CapacityPages, maxPages)
 	case c.FlusherPeriod <= 0:
 		return fmt.Errorf("pagecache: flusher period %v", c.FlusherPeriod)
 	case c.Expire <= 0:
@@ -67,6 +72,10 @@ func (c Config) Validate() error {
 // Nwb returns τ_expire / p, the number of write-back intervals the
 // buffered-write predictor looks ahead.
 func (c Config) Nwb() int { return int(c.Expire / c.FlusherPeriod) }
+
+// FlushLimit returns τ_flush in pages: the dirty-set size above which the
+// flusher also writes back the oldest pages.
+func (c Config) FlushLimit() int { return int(c.FlushRatio * float64(c.CapacityPages)) }
 
 // DirtyPage is a snapshot entry of one dirty cache page.
 type DirtyPage struct {
@@ -94,33 +103,44 @@ type Stats struct {
 }
 
 // Cache is the write-back cache model. It is not safe for concurrent use.
+//
+// The dirty pages form one list kept in (lastUpdate, LPN) order, oldest
+// first, threaded through a slot array and indexed by LPN. Simulated time
+// only moves forward, so a write links its pages at the tail; the flusher
+// and direct reclaim pop from the head; the predictor walks the list in
+// place. Nothing is ever sorted.
 type Cache struct {
 	cfg   Config
-	dirty map[int64]time.Duration // LPN → last update time
+	index map[int64]int32 // LPN → slot of a dirty page
+	// slots[0] is the sentinel of the circular list: its next is the
+	// oldest dirty page, its prev the newest. Released slots are chained
+	// through next from free (0 = none).
+	slots []slot
+	free  int32
 	stats Stats
 
-	// Steady-state scratch, reused so the flusher tick and direct reclaim
-	// stop allocating: flushBuf backs the slices Write and Flush return,
-	// scanBuf backs the eviction age scan.
+	// flushBuf backs the slices Write and Flush return, so the flusher
+	// tick and direct reclaim stop allocating.
 	flushBuf []int64
-	scanBuf  []scanEntry
 }
 
-// scanEntry pairs a dirty page with its age for eviction sorting.
-type scanEntry struct {
-	lpn  int64
-	last time.Duration
+// slot is one dirty page's list node.
+type slot struct {
+	lpn        int64
+	last       time.Duration
+	prev, next int32
 }
 
-// ErrBadLPN is returned for negative logical page numbers.
-var ErrBadLPN = errors.New("pagecache: negative LPN")
+// ErrBadLPN is returned for a negative logical page number or a page range
+// that runs past the largest one.
+var ErrBadLPN = errors.New("pagecache: LPN out of range")
 
 // New creates a cache from cfg.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Cache{cfg: cfg, dirty: make(map[int64]time.Duration)}, nil
+	return &Cache{cfg: cfg, index: make(map[int64]int32), slots: make([]slot, 1)}, nil
 }
 
 // Config returns the cache configuration.
@@ -130,7 +150,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyPageCount returns the current number of dirty pages.
-func (c *Cache) DirtyPageCount() int { return len(c.dirty) }
+func (c *Cache) DirtyPageCount() int { return len(c.index) }
 
 // Write records a buffered write of n consecutive pages starting at lpn at
 // time now. If the cache would exceed its capacity, the oldest dirty pages
@@ -142,19 +162,35 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 	if lpn < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadLPN, lpn)
 	}
-	if n <= 0 {
+	if n <= 0 || n > maxPages {
 		return nil, fmt.Errorf("pagecache: write of %d pages", n)
 	}
+	if lpn > math.MaxInt64-int64(n-1) {
+		return nil, fmt.Errorf("%w: %d pages from %d overflow", ErrBadLPN, n, lpn)
+	}
+	// The pages share one timestamp and ascend, so once the first is
+	// placed every later one links directly behind its predecessor.
+	var at int32
 	for i := 0; i < n; i++ {
 		p := lpn + int64(i)
-		if _, ok := c.dirty[p]; ok {
+		s, ok := c.index[p]
+		if ok {
 			c.stats.Overwrites++
+			c.unlink(s)
+		} else {
+			s = c.alloc(p)
+			c.index[p] = s
 		}
-		c.dirty[p] = now
-		c.stats.WrittenPages++
+		c.slots[s].last = now
+		if i == 0 {
+			at = c.placeFor(now, p)
+		}
+		c.linkAfter(s, at)
+		at = s
 	}
-	if over := len(c.dirty) - c.cfg.CapacityPages; over > 0 {
-		reclaimed = c.evictOldestInto(c.flushBuf[:0], over)
+	c.stats.WrittenPages += int64(n)
+	if over := len(c.index) - c.cfg.CapacityPages; over > 0 {
+		reclaimed = c.popOldestInto(c.flushBuf[:0], over)
 		c.flushBuf = reclaimed
 		c.stats.PressureFlushes += int64(len(reclaimed))
 		c.stats.FlushedPages += int64(len(reclaimed))
@@ -169,30 +205,16 @@ func (c *Cache) Write(now time.Duration, lpn int64, n int) (reclaimed []int64, e
 // slice shares the cache's scratch buffer and is valid only until the next
 // Write or Flush call.
 func (c *Cache) Flush(now time.Duration) []int64 {
-	expired := c.flushBuf[:0]
-	for lpn, last := range c.dirty {
-		if now-last >= c.cfg.Expire {
-			expired = append(expired, lpn)
-		}
+	out := c.flushBuf[:0]
+	// Expired pages are a prefix of the age-ordered list.
+	for h := c.slots[0].next; h != 0 && now-c.slots[h].last >= c.cfg.Expire; h = c.slots[0].next {
+		out = append(out, c.release(h))
 	}
-	// Deterministic order: oldest first, ties by LPN.
-	sort.Slice(expired, func(i, j int) bool {
-		ti, tj := c.dirty[expired[i]], c.dirty[expired[j]]
-		if ti != tj {
-			return ti < tj
-		}
-		return expired[i] < expired[j]
-	})
-	for _, lpn := range expired {
-		delete(c.dirty, lpn)
-	}
-	c.stats.ExpiredFlushes += int64(len(expired))
-	out := expired
+	c.stats.ExpiredFlushes += int64(len(out))
 
-	limit := int(c.cfg.FlushRatio * float64(c.cfg.CapacityPages))
-	if len(c.dirty) > limit {
+	if over := len(c.index) - c.cfg.FlushLimit(); over > 0 {
 		before := len(out)
-		out = c.evictOldestInto(out, len(c.dirty)-limit)
+		out = c.popOldestInto(out, over)
 		c.stats.PressureFlushes += int64(len(out) - before)
 	}
 	c.stats.FlushedPages += int64(len(out))
@@ -200,61 +222,96 @@ func (c *Cache) Flush(now time.Duration) []int64 {
 	return out
 }
 
-// evictOldestInto removes the n oldest dirty pages and appends them to dst.
-func (c *Cache) evictOldestInto(dst []int64, n int) []int64 {
-	if n <= 0 {
-		return dst
-	}
-	all := c.scanBuf[:0]
-	for lpn, last := range c.dirty {
-		all = append(all, scanEntry{lpn, last})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].last != all[j].last {
-			return all[i].last < all[j].last
-		}
-		return all[i].lpn < all[j].lpn
-	})
-	c.scanBuf = all
-	if n > len(all) {
-		n = len(all)
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, all[i].lpn)
-		delete(c.dirty, all[i].lpn)
+// popOldestInto removes the n oldest dirty pages and appends them to dst.
+func (c *Cache) popOldestInto(dst []int64, n int) []int64 {
+	for ; n > 0 && c.slots[0].next != 0; n-- {
+		dst = append(dst, c.release(c.slots[0].next))
 	}
 	return dst
 }
 
-// DirtyPages returns a snapshot of all dirty pages, sorted oldest first
-// (ties by LPN) — the scan the buffered-write predictor performs.
-func (c *Cache) DirtyPages() []DirtyPage {
-	out := make([]DirtyPage, 0, len(c.dirty))
-	for lpn, last := range c.dirty {
-		out = append(out, DirtyPage{LPN: lpn, LastUpdate: last})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LastUpdate != out[j].LastUpdate {
-			return out[i].LastUpdate < out[j].LastUpdate
+// All yields every dirty page, oldest first (ties by LPN) — the scan the
+// buffered-write predictor performs. The cache must not be modified while
+// the sequence is being iterated.
+func (c *Cache) All() iter.Seq[DirtyPage] {
+	return func(yield func(DirtyPage) bool) {
+		for s := c.slots[0].next; s != 0; s = c.slots[s].next {
+			if !yield(DirtyPage{LPN: c.slots[s].lpn, LastUpdate: c.slots[s].last}) {
+				return
+			}
 		}
-		return out[i].LPN < out[j].LPN
-	})
-	return out
+	}
 }
 
 // IsDirty reports whether lpn currently has a dirty copy in the cache —
 // reads of such pages are served from RAM without touching the device.
 func (c *Cache) IsDirty(lpn int64) bool {
-	_, ok := c.dirty[lpn]
+	_, ok := c.index[lpn]
 	return ok
 }
 
 // Drop discards a dirty page without writing it back (e.g. the file was
 // deleted). It reports whether the page was dirty.
 func (c *Cache) Drop(lpn int64) bool {
-	if _, ok := c.dirty[lpn]; !ok {
+	s, ok := c.index[lpn]
+	if !ok {
 		return false
 	}
-	delete(c.dirty, lpn)
+	c.release(s)
 	return true
+}
+
+// placeFor returns the slot a page written at now with number lpn links
+// behind: the last one ordered before (now, lpn), or the sentinel. The
+// walk back from the tail crosses only pages written at now with larger
+// LPNs — or, for an out-of-order now, every page written after it.
+func (c *Cache) placeFor(now time.Duration, lpn int64) int32 {
+	at := c.slots[0].prev
+	for at != 0 {
+		s := &c.slots[at]
+		if s.last < now || (s.last == now && s.lpn < lpn) {
+			break
+		}
+		at = s.prev
+	}
+	return at
+}
+
+// linkAfter links slot s into the list right behind slot at.
+func (c *Cache) linkAfter(s, at int32) {
+	next := c.slots[at].next
+	c.slots[s].prev, c.slots[s].next = at, next
+	c.slots[at].next = s
+	c.slots[next].prev = s
+}
+
+// unlink takes slot s out of the list.
+func (c *Cache) unlink(s int32) {
+	prev, next := c.slots[s].prev, c.slots[s].next
+	c.slots[prev].next = next
+	c.slots[next].prev = prev
+}
+
+// alloc returns an unlinked slot holding lpn.
+func (c *Cache) alloc(lpn int64) int32 {
+	s := c.free
+	if s != 0 {
+		c.free = c.slots[s].next
+	} else {
+		s = int32(len(c.slots))
+		c.slots = append(c.slots, slot{})
+	}
+	c.slots[s].lpn = lpn
+	return s
+}
+
+// release removes the dirty page in slot s from the list and the index,
+// frees the slot, and returns the page's LPN.
+func (c *Cache) release(s int32) int64 {
+	c.unlink(s)
+	lpn := c.slots[s].lpn
+	delete(c.index, lpn)
+	c.slots[s].next = c.free
+	c.free = s
+	return lpn
 }

@@ -1,6 +1,9 @@
 package pagecache
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.PageSize = 0 },
 		func(c *Config) { c.CapacityPages = 0 },
+		func(c *Config) { c.CapacityPages = maxPages + 1 },
 		func(c *Config) { c.FlusherPeriod = 0 },
 		func(c *Config) { c.Expire = 0 },
 		func(c *Config) { c.Expire = 7 * time.Second }, // not a multiple of p
@@ -60,6 +64,49 @@ func TestWriteValidatesArguments(t *testing.T) {
 	}
 	if _, err := c.Write(0, 0, 0); err == nil {
 		t.Error("zero-length write accepted")
+	}
+	if _, err := c.Write(0, 0, maxPages+1); err == nil {
+		t.Error("write longer than maxPages accepted")
+	}
+}
+
+// A range whose last page lies past math.MaxInt64 used to wrap around and
+// mark math.MinInt64 dirty.
+func TestWriteRejectsOverflowingRange(t *testing.T) {
+	c := newCache(t, testConfig())
+	if _, err := c.Write(0, math.MaxInt64, 2); !errors.Is(err, ErrBadLPN) {
+		t.Errorf("Write(0, MaxInt64, 2) err = %v, want ErrBadLPN", err)
+	}
+	if n := c.DirtyPageCount(); n != 0 || c.IsDirty(math.MinInt64) || c.Stats() != (Stats{}) {
+		t.Errorf("rejected write changed state: %d dirty, stats %+v", n, c.Stats())
+	}
+	if _, err := c.Write(0, math.MaxInt64, 1); err != nil {
+		t.Errorf("write of the last page rejected: %v", err)
+	}
+}
+
+// Pages written at one instant stay in LPN order whatever order they
+// arrive in, and a write stamped before the newest page is placed by age.
+func TestSameInstantAndOutOfOrderPlacement(t *testing.T) {
+	c := newCache(t, testConfig())
+	for _, w := range []struct {
+		at  time.Duration
+		lpn int64
+		n   int
+	}{
+		{time.Second, 20, 2}, {time.Second, 10, 2}, {time.Second, 15, 1},
+		{3 * time.Second, 1, 1}, {2 * time.Second, 30, 1}, {time.Second, 21, 1},
+	} {
+		if _, err := c.Write(w.at, w.lpn, w.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []int64
+	for pg := range c.All() {
+		got = append(got, pg.LPN)
+	}
+	if want := []int64{10, 11, 15, 20, 21, 30, 1}; !slices.Equal(got, want) {
+		t.Errorf("dirty order = %v, want %v", got, want)
 	}
 }
 
@@ -179,7 +226,7 @@ func TestDirtyPagesSnapshotSorted(t *testing.T) {
 	if _, err := c.Write(time.Second, 5, 1); err != nil {
 		t.Fatal(err)
 	}
-	pages := c.DirtyPages()
+	pages := slices.Collect(c.All())
 	if len(pages) != 3 {
 		t.Fatalf("snapshot size = %d", len(pages))
 	}

@@ -36,7 +36,24 @@ type Buffered struct {
 	// chronically over-predict. Such hot pages are excluded from demand
 	// but kept on the SIP list (their stale flash copies are the surest
 	// soon-to-be-invalidated pages of all).
-	firstDirty map[int64]time.Duration
+	//
+	// An episode lasts while every scan finds the page dirty: an entry not
+	// stamped by the previous scan is stale, and the page starts a fresh
+	// episode. A page flushed or dropped and re-dirtied between two scans
+	// thus keeps its episode. Stale entries are swept once they outnumber
+	// the live ones.
+	firstDirty map[int64]episode
+	scans      uint64
+
+	// Steady-state scratch backing the slices Predict returns.
+	demand Demand
+	sip    []int64
+}
+
+// episode is one page's dirty episode as the hot filter sees it.
+type episode struct {
+	first time.Duration // LastUpdate when a scan first saw the page dirty
+	scan  uint64        // the last scan that saw it dirty
 }
 
 // NewBuffered builds a buffered-write predictor over a page cache. The
@@ -46,7 +63,8 @@ func NewBuffered(cache *pagecache.Cache) *Buffered {
 	return &Buffered{
 		cache:      cache,
 		wb:         WriteBack{Period: cfg.FlusherPeriod, Expire: cfg.Expire},
-		firstDirty: make(map[int64]time.Duration),
+		firstDirty: make(map[int64]episode),
+		demand:     make(Demand, cfg.Nwb()),
 	}
 }
 
@@ -54,93 +72,94 @@ func NewBuffered(cache *pagecache.Cache) *Buffered {
 func (b *Buffered) WriteBack() WriteBack { return b.wb }
 
 // Predict computes Dbuf(now) and the SIP list. now must be a flusher
-// wake-up instant (the predictor runs right after the flusher).
+// wake-up instant (the predictor runs right after the flusher). It walks
+// the dirty pages once, oldest first, and allocates nothing in steady
+// state: both returned slices share the predictor's scratch and are valid
+// only until the next Predict call.
 func (b *Buffered) Predict(now time.Duration) (Demand, []int64) {
-	pages := b.cache.DirtyPages()
-	hot := b.updateHotSet(pages, now)
-	return predictFromDirty(pages, now, b.wb, b.cache.Config(), b.Strict, hot)
-}
+	cfg := b.cache.Config()
+	nwb := b.wb.Nwb()
+	// counts[i-1] tallies the pages due in interval I^i until the byte
+	// conversion at the end.
+	counts := b.demand
+	clear(counts)
+	sip := b.sip[:0]
 
-// updateHotSet refreshes the first-dirty tracking and returns the set of
-// pages continuously dirty for longer than τ_expire.
-func (b *Buffered) updateHotSet(pages []pagecache.DirtyPage, now time.Duration) map[int64]bool {
-	if b.DisableHotFilter {
-		return nil
+	limit := cfg.FlushLimit()
+	dirty := b.cache.DirtyPageCount()
+	// Strict mode below τ_flush predicts nothing; the hot filter still
+	// scans, so its episodes match the relaxed predictor's.
+	silent := b.Strict && dirty <= limit
+	filter := !b.DisableHotFilter
+	if filter {
+		b.scans++
 	}
-	seen := make(map[int64]bool, len(pages))
-	var hot map[int64]bool
-	for _, pg := range pages {
-		seen[pg.LPN] = true
-		first, ok := b.firstDirty[pg.LPN]
-		if !ok {
-			b.firstDirty[pg.LPN] = pg.LastUpdate
+	later := 0 // pages not due at the next wake-up
+	for pg := range b.cache.All() {
+		hot := filter && b.isHot(pg, now)
+		if silent {
 			continue
 		}
-		if now-first > b.wb.Expire {
-			if hot == nil {
-				hot = make(map[int64]bool)
-			}
-			hot[pg.LPN] = true
-		}
-	}
-	for lpn := range b.firstDirty {
-		if !seen[lpn] {
-			delete(b.firstDirty, lpn) // flushed: next dirtying starts fresh
-		}
-	}
-	return hot
-}
-
-// predictFromDirty is the pure computation behind Predict, shared with
-// tests that construct dirty snapshots directly.
-func predictFromDirty(pages []pagecache.DirtyPage, now time.Duration, wb WriteBack, cfg pagecache.Config, strict bool, hot map[int64]bool) (Demand, []int64) {
-	nwb := wb.Nwb()
-	demand := make(Demand, nwb)
-	sip := make([]int64, 0, len(pages))
-
-	limit := int(cfg.FlushRatio * float64(cfg.CapacityPages))
-	if strict && len(pages) <= limit {
-		return demand, sip
-	}
-
-	pageBytes := int64(cfg.PageSize)
-	// First pass: expiry-based intervals. Pages due at the next wake-up go
-	// to D¹; the rest are kept (in age order — DirtyPages sorts oldest
-	// first) for the pressure check below.
-	laterIntervals := make([]int, 0, len(pages))
-	for _, pg := range pages {
 		sip = append(sip, pg.LPN)
-		if hot[pg.LPN] {
+		if hot {
 			continue // rewritten faster than it can expire: no flush soon
 		}
-		i := flushInterval(pg.LastUpdate, now, wb)
-		if i <= 1 {
-			demand[0] += pageBytes
-			continue
+		i := flushInterval(pg.LastUpdate, now, b.wb)
+		if i > 1 {
+			later++
 		}
 		if i > nwb {
 			i = nwb // cannot happen when ages ≤ expire, kept for safety
 		}
-		laterIntervals = append(laterIntervals, i)
+		counts[i-1]++
 	}
+	if filter && len(b.firstDirty) > 2*dirty {
+		b.sweep()
+	}
+	b.sip = sip
 
 	// The flusher's τ_flush condition is equally visible to the host: if
 	// the dirty set still exceeds the threshold after the next wake-up's
 	// expirations, the flusher pressure-writes the oldest remainder then.
 	// Predict those pages as next-interval demand instead of at their
 	// (never reached) expiry intervals, so they don't arrive unannounced.
-	over := 0
-	if !strict {
-		over = len(laterIntervals) - limit
-	}
-	for idx, i := range laterIntervals {
-		if idx < over {
-			demand[0] += pageBytes
-		} else {
-			demand[i-1] += pageBytes
+	// The walk is oldest first and flushInterval grows with age, so the
+	// oldest remainder fills the earliest intervals.
+	if !b.Strict {
+		for i, over := 1, int64(later-limit); i < nwb && over > 0; i++ {
+			move := min(over, counts[i])
+			counts[i] -= move
+			counts[0] += move
+			over -= move
 		}
 	}
-	return demand, sip
+	pageBytes := int64(cfg.PageSize)
+	for i := range counts {
+		counts[i] *= pageBytes
+	}
+	return counts, sip
+}
+
+// isHot records that the current scan found pg dirty and reports whether
+// the page has been continuously dirty for longer than τ_expire.
+func (b *Buffered) isHot(pg pagecache.DirtyPage, now time.Duration) bool {
+	e, ok := b.firstDirty[pg.LPN]
+	fresh := !ok || e.scan != b.scans-1
+	if fresh {
+		e.first = pg.LastUpdate
+	}
+	e.scan = b.scans
+	b.firstDirty[pg.LPN] = e
+	return !fresh && now-e.first > b.wb.Expire
+}
+
+// sweep deletes the episodes the current scan did not renew.
+func (b *Buffered) sweep() {
+	for lpn, e := range b.firstDirty {
+		if e.scan != b.scans {
+			delete(b.firstDirty, lpn)
+		}
+	}
 }
 
 // flushInterval returns the index i ≥ 1 of the future write-back interval

@@ -240,3 +240,98 @@ func TestDemandBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHotPageSurvivesEvictionBetweenScans pins the hot-set rule: a dirty
+// episode lasts while every scan finds the page dirty. A hot page evicted
+// by cache pressure and re-dirtied before the next scan stays hot; one
+// still clean at a scan starts a fresh episode when it is re-dirtied.
+func TestHotPageSurvivesEvictionBetweenScans(t *testing.T) {
+	cfg := fig4Config()
+	cfg.CapacityPages = 2
+	cache, err := pagecache.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuffered(cache)
+	write := func(at time.Duration, lpn int64, n int) []int64 {
+		t.Helper()
+		rec, err := cache.Write(at, lpn, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	scan := func(at time.Duration) (Demand, []int64) {
+		cache.Flush(at)
+		return b.Predict(at)
+	}
+	// lpn 0 is rewritten before every scan from 0 s to 35 s.
+	for at := sec(0); at <= sec(35); at += sec(5) {
+		write(at, 0, 1)
+		scan(at)
+	}
+	if rec := write(sec(36), 1, 2); len(rec) != 1 || rec[0] != 0 {
+		t.Fatalf("pressure evicted %v, want [0]", rec)
+	}
+	write(sec(37), 0, 1) // re-dirtied before the next scan; evicts lpn 1
+	d, sip := scan(sec(40))
+	if len(sip) != 2 || sip[0] != 2 || sip[1] != 0 {
+		t.Fatalf("SIP = %v, want [2 0]", sip)
+	}
+	if got := d.Total() / 4096; got != 1 {
+		t.Errorf("demand = %d pages, want 1: lpn 0 is still hot (%v)", got, d)
+	}
+
+	// Evicted and still clean at the 45 s scan: the episode ends.
+	if rec := write(sec(41), 3, 1); len(rec) != 1 || rec[0] != 2 {
+		t.Fatalf("pressure evicted %v, want [2]", rec)
+	}
+	if rec := write(sec(42), 4, 1); len(rec) != 1 || rec[0] != 0 {
+		t.Fatalf("pressure evicted %v, want [0]", rec)
+	}
+	scan(sec(45))
+	write(sec(46), 0, 1)
+	d, sip = scan(sec(50))
+	if len(sip) != 2 {
+		t.Fatalf("SIP = %v, want 2 pages", sip)
+	}
+	if got := d.Total() / 4096; got != 2 {
+		t.Errorf("demand = %d pages, want 2: lpn 0 starts a fresh episode (%v)", got, d)
+	}
+}
+
+// BenchmarkBufferedPredict measures one predictor scan over a steady dirty
+// set of 16Ki pages spread over the τ_expire horizon, an eighth of them hot
+// (continuously dirty for longer than τ_expire). ns/page is per scanned
+// page.
+func BenchmarkBufferedPredict(b *testing.B) {
+	const dirty = 1 << 14
+	cfg := fig4Config()
+	cache, err := pagecache.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewBuffered(cache)
+	nwb := cfg.Nwb()
+	var now time.Duration
+	for tick := 0; tick <= 2*nwb; tick++ {
+		for k := 0; k < dirty/nwb; k++ {
+			lpn := int64(tick*dirty/nwb+k) * 7919 % (1 << 30)
+			if k%8 == 0 {
+				lpn = int64(k) // rewritten every period: hot
+			}
+			if _, err := cache.Write(now+time.Duration(k), lpn, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		now += cfg.FlusherPeriod
+		cache.Flush(now)
+		p.Predict(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Predict(now)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cache.DirtyPageCount()), "ns/page")
+}

@@ -81,14 +81,16 @@ func (c *CDHTracker) Reserve() int64 {
 // Predict returns the demand sequence: δ(t)/Nwb for each future interval
 // (the paper's D^i_dir).
 func (c *CDHTracker) Predict() Demand {
-	nwb := c.wb.Nwb()
-	demand := make(Demand, nwb)
-	per := c.Reserve() / int64(nwb)
+	demand := make(Demand, c.wb.Nwb())
+	per := c.PerInterval()
 	for i := range demand {
 		demand[i] = per
 	}
 	return demand
 }
+
+// PerInterval returns δ(t)/Nwb, the value of every entry of Predict.
+func (c *CDHTracker) PerInterval() int64 { return c.Reserve() / int64(c.wb.Nwb()) }
 
 // Histogram exposes the underlying histogram for reporting (Fig. 5).
 func (c *CDHTracker) Histogram() *histogram.Histogram { return c.hist }
