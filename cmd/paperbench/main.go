@@ -9,7 +9,9 @@
 // With no -exp it runs every experiment in presentation order. The
 // independent simulation cells of each experiment grid fan out over
 // -workers goroutines (default: GOMAXPROCS); output is byte-identical for
-// every worker count. Exits non-zero when any table carries a warning
+// every worker count. Experiments that render the same benchmark × policy
+// runs (fig7a and fig7b, table2 and table3, …) simulate them once per
+// invocation. Exits non-zero when any table carries a warning
 // (e.g. a degenerate normalization baseline).
 package main
 
@@ -54,6 +56,9 @@ func main() {
 	if *workers < 1 {
 		usageError("-workers must be at least 1, got %d", *workers)
 	}
+	if *ops < 0 {
+		usageError("-ops must not be negative, got %d", *ops)
+	}
 
 	var exps []jitgc.Experiment
 	if *expIDs == "" {
@@ -81,6 +86,10 @@ func main() {
 		}
 	}
 
+	// One reproduction simulates each cell the experiments share once. A
+	// traced experiment has its own tracer in its options, so it shares no
+	// cells and its event stream stays complete.
+	var repro jitgc.Reproduction
 	opt := jitgc.Options{Seed: *seed, Ops: *ops, Workers: *workers}
 	var warnings int
 	for _, e := range exps {
@@ -108,7 +117,7 @@ func main() {
 			expOpt.Tracer = telemetry.New(sink)
 		}
 		start := time.Now()
-		tables, err := e.Run(expOpt)
+		tables, err := repro.Run(e, expOpt)
 		if err != nil {
 			log.Fatalf("%s: %v", e.ID, err)
 		}

@@ -19,36 +19,130 @@ type Experiment struct {
 	ID string
 	// Title describes the experiment.
 	Title string
-	// Run executes it and returns the report tables.
-	Run func(opt Options) ([]Table, error)
+	// run renders the experiment, reading shared cells through r.
+	run func(r *Reproduction, opt Options) ([]Table, error)
+}
+
+// Run executes the experiment on its own and returns the report tables.
+func (e Experiment) Run(opt Options) ([]Table, error) {
+	return new(Reproduction).Run(e, opt)
+}
+
+// Reproduction runs experiments that share the paper's evaluation grid:
+// fig2a/fig2b, table1, fig7a/fig7b, table2, table3, oracle, reliability
+// and the ablations all read benchmark × policy results, and a
+// Reproduction simulates each distinct cell once however many experiments
+// render it. Options are part of a cell's identity, so experiments run
+// with different options (a different Tracer included) share nothing. The
+// zero value is ready to use; a Reproduction is not safe for concurrent
+// use.
+type Reproduction struct {
+	cells map[cell]Results
+}
+
+// Run executes e, reusing every cell an earlier Run of r already simulated.
+func (r *Reproduction) Run(e Experiment, opt Options) ([]Table, error) {
+	return e.run(r, opt)
+}
+
+// cell is one closed-loop Run of the evaluation grid. results keys its
+// store by the cell with opt after withDefaults, so equal runs compare
+// equal.
+type cell struct {
+	benchmark string
+	spec      PolicySpec
+	opt       Options
+}
+
+// results returns the Results of every cell in order, simulating only the
+// cells r has not run yet; those fan out over opt.Workers.
+func (r *Reproduction) results(opt Options, cells []cell) ([]Results, error) {
+	if r.cells == nil {
+		r.cells = make(map[cell]Results)
+	}
+	keys := make([]cell, len(cells))
+	var missing []cell
+	for i, c := range cells {
+		c.opt = c.opt.withDefaults()
+		keys[i] = c
+		if _, done := r.cells[c]; !done {
+			missing = append(missing, c)
+		}
+	}
+	ran := make([]Results, len(missing))
+	err := runGrid(opt, len(missing), func(i int) error {
+		c := missing[i]
+		res, err := Run(c.benchmark, c.spec, c.opt)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", c.benchmark, c.spec.Kind, err)
+		}
+		ran[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range missing {
+		r.cells[c] = ran[i]
+	}
+	out := make([]Results, len(keys))
+	for i, c := range keys {
+		out[i] = r.cells[c]
+	}
+	return out, nil
+}
+
+// grid runs every benchmark under every spec and returns the results
+// indexed [benchmark][spec].
+func (r *Reproduction) grid(opt Options, benches []string, specs ...PolicySpec) ([][]Results, error) {
+	var cells []cell
+	for _, b := range benches {
+		for _, spec := range specs {
+			cells = append(cells, cell{b, spec, opt})
+		}
+	}
+	flat, err := r.results(opt, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]Results, len(benches))
+	for i := range rows {
+		rows[i] = flat[i*len(specs) : (i+1)*len(specs)]
+	}
+	return rows, nil
+}
+
+// alone adapts an experiment that shares no cells with the others.
+func alone(run func(Options) ([]Table, error)) func(*Reproduction, Options) ([]Table, error) {
+	return func(_ *Reproduction, opt Options) ([]Table, error) { return run(opt) }
 }
 
 // Experiments returns every reproducible table and figure of the paper plus
 // the ablation studies DESIGN.md calls out, in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "fig2a", Title: "Fig 2(a): normalized IOPS vs reserved capacity sweep", Run: fig2a},
-		{ID: "fig2b", Title: "Fig 2(b): normalized WAF vs reserved capacity sweep", Run: fig2b},
-		{ID: "table1", Title: "Table 1: buffered/direct write breakdown", Run: table1},
-		{ID: "fig4", Title: "Fig 4: buffered write demand estimation example", Run: fig4},
-		{ID: "fig5", Title: "Fig 5: cumulative data histogram example", Run: fig5},
-		{ID: "fig6", Title: "Fig 6: JIT-GC manager scheduling examples", Run: fig6},
-		{ID: "fig7a", Title: "Fig 7(a): normalized IOPS of L-BGC/A-BGC/ADP-GC/JIT-GC", Run: fig7a},
-		{ID: "fig7b", Title: "Fig 7(b): normalized WAF of L-BGC/A-BGC/ADP-GC/JIT-GC", Run: fig7b},
-		{ID: "table2", Title: "Table 2: prediction accuracy of JIT-GC and ADP-GC", Run: table2},
-		{ID: "table3", Title: "Table 3: SIP-filtered GC victim selections", Run: table3},
-		{ID: "oracle", Title: "Ideal-policy anchor: oracle BGC vs JIT-GC (paper §2)", Run: oracleAnchor},
-		{ID: "array", Title: "Array scaling: striped multi-device backend, independent vs coordinated GC", Run: arrayExp},
-		{ID: "arrayscale", Title: "Array width: 16-64 devices under static vs adaptive GC tokens + rebuild under fire", Run: arrayscaleExp},
-		{ID: "lifetime", Title: "Lifetime: host data served before wear-out per policy", Run: lifetime},
-		{ID: "reliability", Title: "Reliability: fault-rate sweep per policy + degraded 2-device array", Run: reliability},
-		{ID: "ablation-sip", Title: "Ablation: SIP victim filtering on/off", Run: ablationSIP},
-		{ID: "ablation-percentile", Title: "Ablation: direct-write CDH percentile", Run: ablationPercentile},
-		{ID: "ablation-flush", Title: "Ablation: relaxed vs strict flush-condition prediction", Run: ablationFlush},
-		{ID: "ablation-victim", Title: "Ablation: GC victim selector", Run: ablationVictim},
-		{ID: "scale", Title: "Scale: metadata footprint and WAF vs device capacity (256 MiB – 64 GiB)", Run: scaleExp},
-		{ID: "multitenant", Title: "Multi-tenant: open-loop QoS grid (tenants × load × policy) with p99.9 SLO verdicts", Run: multitenantExp},
-		{ID: "trim", Title: "TRIM: Frankie-validated WAF sweep + host profile × intensity × policy grid", Run: trimExp},
+		{ID: "fig2a", Title: "Fig 2(a): normalized IOPS vs reserved capacity sweep", run: fig2a},
+		{ID: "fig2b", Title: "Fig 2(b): normalized WAF vs reserved capacity sweep", run: fig2b},
+		{ID: "table1", Title: "Table 1: buffered/direct write breakdown", run: table1},
+		{ID: "fig4", Title: "Fig 4: buffered write demand estimation example", run: alone(fig4)},
+		{ID: "fig5", Title: "Fig 5: cumulative data histogram example", run: alone(fig5)},
+		{ID: "fig6", Title: "Fig 6: JIT-GC manager scheduling examples", run: alone(fig6)},
+		{ID: "fig7a", Title: "Fig 7(a): normalized IOPS of L-BGC/A-BGC/ADP-GC/JIT-GC", run: fig7a},
+		{ID: "fig7b", Title: "Fig 7(b): normalized WAF of L-BGC/A-BGC/ADP-GC/JIT-GC", run: fig7b},
+		{ID: "table2", Title: "Table 2: prediction accuracy of JIT-GC and ADP-GC", run: table2},
+		{ID: "table3", Title: "Table 3: SIP-filtered GC victim selections", run: table3},
+		{ID: "oracle", Title: "Ideal-policy anchor: oracle BGC vs JIT-GC (paper §2)", run: oracleAnchor},
+		{ID: "array", Title: "Array scaling: striped multi-device backend, independent vs coordinated GC", run: alone(arrayExp)},
+		{ID: "arrayscale", Title: "Array width: 16-64 devices under static vs adaptive GC tokens + rebuild under fire", run: alone(arrayscaleExp)},
+		{ID: "lifetime", Title: "Lifetime: host data served before wear-out per policy", run: alone(lifetime)},
+		{ID: "reliability", Title: "Reliability: fault-rate sweep per policy + degraded 2-device array", run: reliability},
+		{ID: "ablation-sip", Title: "Ablation: SIP victim filtering on/off", run: ablationSIP},
+		{ID: "ablation-percentile", Title: "Ablation: direct-write CDH percentile", run: ablationPercentile},
+		{ID: "ablation-flush", Title: "Ablation: relaxed vs strict flush-condition prediction", run: ablationFlush},
+		{ID: "ablation-victim", Title: "Ablation: GC victim selector", run: ablationVictim},
+		{ID: "scale", Title: "Scale: metadata footprint and WAF vs device capacity (256 MiB – 64 GiB)", run: alone(scaleExp)},
+		{ID: "multitenant", Title: "Multi-tenant: open-loop QoS grid (tenants × load × policy) with p99.9 SLO verdicts", run: alone(multitenantExp)},
+		{ID: "trim", Title: "TRIM: Frankie-validated WAF sweep + host profile × intensity × policy grid", run: alone(trimExp)},
 	}
 }
 
@@ -76,30 +170,6 @@ func ExperimentIDs() []string {
 // fig2Factors is the reserved-capacity sweep of the paper's Fig. 2.
 var fig2Factors = []float64{0.5, 0.75, 1.0, 1.25, 1.5}
 
-// runFig2 executes the Cresv sweep for every benchmark and returns the
-// result grid indexed [benchmark][factor]. The benchmark×factor cells are
-// independent simulations, so they fan out over opt.Workers.
-func runFig2(opt Options) (map[string][]Results, error) {
-	benches := Benchmarks()
-	grid := make(map[string][]Results, len(benches))
-	for _, b := range benches {
-		grid[b] = make([]Results, len(fig2Factors))
-	}
-	err := runGrid(opt, len(benches)*len(fig2Factors), func(i int) error {
-		b, fi := benches[i/len(fig2Factors)], i%len(fig2Factors)
-		res, err := Run(b, Fixed(fig2Factors[fi]), opt)
-		if err != nil {
-			return fmt.Errorf("fig2 %s ×%.2f: %w", b, fig2Factors[fi], err)
-		}
-		grid[b][fi] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return grid, nil
-}
-
 // normCell formats a normalized metric, degrading to "n/a" when the
 // baseline was degenerate (zero IOPS or WAF yields NaN/Inf ratios).
 func normCell(v float64) string {
@@ -109,21 +179,14 @@ func normCell(v float64) string {
 	return fmt.Sprintf("%.3f", v)
 }
 
-func fig2Table(opt Options, title string, metric func(r, base Results) float64) ([]Table, error) {
-	grid, err := runFig2(opt)
-	if err != nil {
-		return nil, err
-	}
-	t := Table{Title: title, Columns: []string{"benchmark"}}
-	for _, f := range fig2Factors {
-		t.Columns = append(t.Columns, fmt.Sprintf("%.2fOP", f))
-	}
-	for _, b := range Benchmarks() {
-		row := grid[b]
-		base := row[len(row)-1] // normalize over 1.5×OP (= A-BGC), like the paper
+// normTable renders one row per benchmark of metric(r, base) over a
+// [benchmark][policy] result grid, where base is row[baseIdx].
+func normTable(t Table, baseName string, rows [][]Results, baseIdx int, metric func(res, base Results) float64) Table {
+	for bi, b := range Benchmarks() {
+		base := rows[bi][baseIdx]
 		cells := []string{b}
 		degenerate := false
-		for _, r := range row {
+		for _, r := range rows[bi] {
 			v := metric(r, base)
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				degenerate = true
@@ -131,165 +194,111 @@ func fig2Table(opt Options, title string, metric func(r, base Results) float64) 
 			cells = append(cells, normCell(v))
 		}
 		if degenerate {
-			t.AddNote("%s: degenerate baseline (IOPS=%.0f, WAF=%.3f) — normalized cells reported as n/a",
-				b, base.IOPS, base.WAF)
+			t.AddNote("%s: degenerate %s (IOPS=%.0f, WAF=%.3f) — normalized cells reported as n/a",
+				b, baseName, base.IOPS, base.WAF)
 		}
 		t.AddRow(cells...)
 	}
-	return []Table{t}, nil
+	return t
 }
 
-func fig2a(opt Options) ([]Table, error) {
-	return fig2Table(opt, "Fig 2(a): IOPS normalized to the 1.5×OP (A-BGC) policy",
-		func(r, base Results) float64 { return r.NormalizedIOPS(base) })
+// fig2Table renders the Cresv sweep, normalized over 1.5×OP (= A-BGC) like
+// the paper.
+func fig2Table(r *Reproduction, opt Options, title string, metric func(res, base Results) float64) ([]Table, error) {
+	specs := make([]PolicySpec, len(fig2Factors))
+	t := Table{Title: title, Columns: []string{"benchmark"}}
+	for i, f := range fig2Factors {
+		specs[i] = Fixed(f)
+		t.Columns = append(t.Columns, fmt.Sprintf("%.2fOP", f))
+	}
+	rows, err := r.grid(opt, Benchmarks(), specs...)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{normTable(t, "baseline", rows, len(specs)-1, metric)}, nil
 }
 
-func fig2b(opt Options) ([]Table, error) {
-	return fig2Table(opt, "Fig 2(b): WAF normalized to the 1.5×OP (A-BGC) policy",
-		func(r, base Results) float64 { return r.NormalizedWAF(base) })
+func fig2a(r *Reproduction, opt Options) ([]Table, error) {
+	return fig2Table(r, opt, "Fig 2(a): IOPS normalized to the 1.5×OP (A-BGC) policy",
+		func(res, base Results) float64 { return res.NormalizedIOPS(base) })
 }
 
-func table1(opt Options) ([]Table, error) {
+func fig2b(r *Reproduction, opt Options) ([]Table, error) {
+	return fig2Table(r, opt, "Fig 2(b): WAF normalized to the 1.5×OP (A-BGC) policy",
+		func(res, base Results) float64 { return res.NormalizedWAF(base) })
+}
+
+func table1(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Table 1: device-level write breakdown (paper: 88.2/81.7/85.8/72.4/46.3/0.1 % buffered)",
 		Columns: []string{"benchmark", "buffered %", "direct %"},
 	}
-	benches := Benchmarks()
-	rows := make([]Results, len(benches))
-	err := runGrid(opt, len(benches), func(i int) error {
-		res, err := Run(benches[i], Lazy(), opt)
-		if err != nil {
-			return err
-		}
-		rows[i] = res
-		return nil
-	})
+	rows, err := r.grid(opt, Benchmarks(), Lazy())
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range benches {
+	for i, b := range Benchmarks() {
+		lazy := rows[i][0]
 		t.AddRow(b,
-			fmt.Sprintf("%.1f", 100*rows[i].BufferedRatio()),
-			fmt.Sprintf("%.1f", 100*(1-rows[i].BufferedRatio())))
+			fmt.Sprintf("%.1f", 100*lazy.BufferedRatio()),
+			fmt.Sprintf("%.1f", 100*(1-lazy.BufferedRatio())))
 	}
 	return []Table{t}, nil
 }
 
-// evaluation runs the four Fig. 7 policies over all benchmarks once and is
-// shared by fig7a/fig7b/table2/table3. All benchmark×policy cells fan out
-// over opt.Workers into pre-indexed slots.
-func evaluation(opt Options) (map[string]map[string]Results, error) {
-	policies := []PolicySpec{Lazy(), Aggressive(), ADP(), JIT()}
-	benches := Benchmarks()
-	slots := make([]Results, len(benches)*len(policies))
-	err := runGrid(opt, len(slots), func(i int) error {
-		b, p := benches[i/len(policies)], policies[i%len(policies)]
-		res, err := Run(b, p, opt)
-		if err != nil {
-			return fmt.Errorf("evaluation %s/%s: %w", b, p.Kind, err)
-		}
-		slots[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]Results, len(benches))
-	for bi, b := range benches {
-		out[b] = make(map[string]Results, len(policies))
-		for pi := range policies {
-			res := slots[bi*len(policies)+pi]
-			out[b][res.Policy] = res
-		}
-	}
-	return out, nil
-}
-
-func fig7Table(opt Options, title string, metric func(r, base Results) float64) ([]Table, error) {
-	eval, err := evaluation(opt)
+// fig7Table renders the four Fig. 7 policies over all benchmarks,
+// normalized to A-BGC.
+func fig7Table(r *Reproduction, opt Options, title string, metric func(res, base Results) float64) ([]Table, error) {
+	rows, err := r.grid(opt, Benchmarks(), Lazy(), Aggressive(), ADP(), JIT())
 	if err != nil {
 		return nil, err
 	}
 	t := Table{Title: title, Columns: []string{"benchmark", "L-BGC", "A-BGC", "ADP-GC", "JIT-GC"}}
-	for _, b := range Benchmarks() {
-		base := eval[b]["A-BGC"]
-		cells := []string{b}
-		degenerate := false
-		for _, p := range []string{"L-BGC", "A-BGC", "ADP-GC", "JIT-GC"} {
-			v := metric(eval[b][p], base)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				degenerate = true
-			}
-			cells = append(cells, normCell(v))
-		}
-		if degenerate {
-			t.AddNote("%s: degenerate A-BGC baseline (IOPS=%.0f, WAF=%.3f) — normalized cells reported as n/a",
-				b, base.IOPS, base.WAF)
-		}
-		t.AddRow(cells...)
-	}
-	return []Table{t}, nil
+	return []Table{normTable(t, "A-BGC baseline", rows, 1, metric)}, nil
 }
 
-func fig7a(opt Options) ([]Table, error) {
-	return fig7Table(opt, "Fig 7(a): IOPS normalized to A-BGC",
-		func(r, base Results) float64 { return r.NormalizedIOPS(base) })
+func fig7a(r *Reproduction, opt Options) ([]Table, error) {
+	return fig7Table(r, opt, "Fig 7(a): IOPS normalized to A-BGC",
+		func(res, base Results) float64 { return res.NormalizedIOPS(base) })
 }
 
-func fig7b(opt Options) ([]Table, error) {
-	return fig7Table(opt, "Fig 7(b): WAF normalized to A-BGC",
-		func(r, base Results) float64 { return r.NormalizedWAF(base) })
+func fig7b(r *Reproduction, opt Options) ([]Table, error) {
+	return fig7Table(r, opt, "Fig 7(b): WAF normalized to A-BGC",
+		func(res, base Results) float64 { return res.NormalizedWAF(base) })
 }
 
-func table2(opt Options) ([]Table, error) {
+func table2(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Table 2: prediction accuracy % (paper JIT: 98.9/93.2/97.3/89.8/86.1/72.5; ADP: 87.7/72.8/82.0/73.4/74.1/71.2)",
 		Columns: []string{"benchmark", "JIT-GC", "ADP-GC"},
 	}
-	benches := Benchmarks()
-	specs := []PolicySpec{JIT(), ADP()}
-	slots := make([]Results, len(benches)*len(specs))
-	err := runGrid(opt, len(slots), func(i int) error {
-		res, err := Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
-	})
+	rows, err := r.grid(opt, Benchmarks(), JIT(), ADP())
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
+	for i, b := range Benchmarks() {
+		jit, adp := rows[i][0], rows[i][1]
 		t.AddRow(b,
-			fmt.Sprintf("%.1f", 100*slots[bi*len(specs)].PredictionAccuracy),
-			fmt.Sprintf("%.1f", 100*slots[bi*len(specs)+1].PredictionAccuracy))
+			fmt.Sprintf("%.1f", 100*jit.PredictionAccuracy),
+			fmt.Sprintf("%.1f", 100*adp.PredictionAccuracy))
 	}
 	return []Table{t}, nil
 }
 
-func table3(opt Options) ([]Table, error) {
+func table3(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Table 3: SIP-filtered GC victim selections % (paper: 12.2/20.6/17.5/8.7/4.9/1.1)",
 		Columns: []string{"benchmark", "filtered %", "wasted migrations avoided"},
 	}
-	benches := Benchmarks()
-	rows := make([]Results, len(benches))
-	err := runGrid(opt, len(benches), func(i int) error {
-		res, err := Run(benches[i], JIT(), opt)
-		if err != nil {
-			return err
-		}
-		rows[i] = res
-		return nil
-	})
+	rows, err := r.grid(opt, Benchmarks(), JIT())
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range benches {
+	for i, b := range Benchmarks() {
+		jit := rows[i][0]
 		t.AddRow(b,
-			fmt.Sprintf("%.1f", rows[i].FilteredVictimPct),
-			fmt.Sprintf("%d", rows[i].WastedMigrations))
+			fmt.Sprintf("%.1f", jit.FilteredVictimPct),
+			fmt.Sprintf("%d", jit.WastedMigrations))
 	}
 	return []Table{t}, nil
 }
@@ -446,37 +455,30 @@ func Fig6Decisions() (at10, at20 int64) {
 // future write volumes — beside JIT-GC and A-BGC: the gap between JIT-GC
 // and the oracle is the cost of *prediction* error, while the gap between
 // the oracle and A-BGC is the value of *timing* itself.
-func oracleAnchor(opt Options) ([]Table, error) {
+func oracleAnchor(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Ideal-policy anchor (values normalized to A-BGC)",
 		Columns: []string{"benchmark", "oracle IOPS", "JIT IOPS", "oracle WAF", "JIT WAF", "oracle FGC", "JIT FGC"},
 	}
 	benches := Benchmarks()
-	const perBench = 3 // A-BGC baseline, JIT-GC, oracle
-	slots := make([]Results, len(benches)*perBench)
-	err := runGrid(opt, len(slots), func(i int) error {
-		b := benches[i/perBench]
-		var res Results
-		var err error
-		switch i % perBench {
-		case 0:
-			res, err = Run(b, Aggressive(), opt)
-		case 1:
-			res, err = Run(b, JIT(), opt)
-		case 2:
-			res, err = RunOracle(b, opt)
-		}
+	rows, err := r.grid(opt, benches, Aggressive(), JIT())
+	if err != nil {
+		return nil, err
+	}
+	oracles := make([]Results, len(benches))
+	err = runGrid(opt, len(benches), func(i int) error {
+		res, err := RunOracle(benches[i], opt)
 		if err != nil {
-			return fmt.Errorf("oracle anchor %s: %w", b, err)
+			return fmt.Errorf("oracle anchor %s: %w", benches[i], err)
 		}
-		slots[i] = res
+		oracles[i] = res
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		base, jit, oracle := slots[bi*perBench], slots[bi*perBench+1], slots[bi*perBench+2]
+	for i, b := range benches {
+		base, jit, oracle := rows[i][0], rows[i][1], oracles[i]
 		t.AddRow(b,
 			normCell(oracle.NormalizedIOPS(base)),
 			normCell(jit.NormalizedIOPS(base)),
@@ -548,29 +550,19 @@ func normLifetimeCell(v, base float64) string {
 }
 
 // ablationSIP compares full JIT-GC against JIT-GC without SIP forwarding.
-func ablationSIP(opt Options) ([]Table, error) {
+func ablationSIP(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Ablation: SIP victim filtering (JIT-GC with vs without the SIP list)",
 		Columns: []string{"benchmark", "WAF with SIP", "WAF without", "wasted migr. with", "wasted migr. without"},
 	}
-	benches := Benchmarks()
 	noSIP := JIT()
 	noSIP.DisableSIP = true
-	specs := []PolicySpec{JIT(), noSIP}
-	slots := make([]Results, len(benches)*len(specs))
-	err := runGrid(opt, len(slots), func(i int) error {
-		res, err := Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
-	})
+	rows, err := r.grid(opt, Benchmarks(), JIT(), noSIP)
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		with, without := slots[bi*len(specs)], slots[bi*len(specs)+1]
+	for i, b := range Benchmarks() {
+		with, without := rows[i][0], rows[i][1]
 		t.AddRow(b,
 			fmt.Sprintf("%.3f", with.WAF), fmt.Sprintf("%.3f", without.WAF),
 			fmt.Sprintf("%d", with.WastedMigrations), fmt.Sprintf("%d", without.WastedMigrations))
@@ -580,31 +572,25 @@ func ablationSIP(opt Options) ([]Table, error) {
 
 // ablationPercentile sweeps the direct-write CDH percentile the paper fixes
 // at 80%.
-func ablationPercentile(opt Options) ([]Table, error) {
+func ablationPercentile(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Ablation: direct-write CDH percentile (paper argues 80% balances IOPS and WAF)",
 		Columns: []string{"benchmark", "pct", "IOPS", "WAF", "FGC"},
 	}
 	benches := []string{"Tiobench", "TPC-C"} // the direct-write-heavy pair
 	pcts := []float64{0.5, 0.8, 0.95}
-	slots := make([]Results, len(benches)*len(pcts))
-	err := runGrid(opt, len(slots), func(i int) error {
-		spec := JIT()
-		spec.JIT = core.JITOptions{Percentile: pcts[i%len(pcts)]}
-		res, err := Run(benches[i/len(pcts)], spec, opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
-	})
+	specs := make([]PolicySpec, len(pcts))
+	for i, pct := range pcts {
+		specs[i] = JIT()
+		specs[i].JIT = core.JITOptions{Percentile: pct}
+	}
+	rows, err := r.grid(opt, benches, specs...)
 	if err != nil {
 		return nil, err
 	}
 	for bi, b := range benches {
-		for pi, pct := range pcts {
-			res := slots[bi*len(pcts)+pi]
-			t.AddRow(b, fmt.Sprintf("%.0f%%", 100*pct),
+		for pi, res := range rows[bi] {
+			t.AddRow(b, fmt.Sprintf("%.0f%%", 100*pcts[pi]),
 				fmt.Sprintf("%.0f", res.IOPS), fmt.Sprintf("%.3f", res.WAF),
 				fmt.Sprintf("%d", res.FGCInvocations))
 		}
@@ -614,7 +600,7 @@ func ablationPercentile(opt Options) ([]Table, error) {
 
 // ablationFlush compares the paper's relaxed τ_flush prediction against the
 // strict variant it argues against (§3.2.1).
-func ablationFlush(opt Options) ([]Table, error) {
+func ablationFlush(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Ablation: relaxed vs strict flush-condition prediction (strict under-predicts → FGC)",
 		Columns: []string{"benchmark", "relaxed FGC", "strict FGC", "relaxed acc %", "strict acc %"},
@@ -622,21 +608,12 @@ func ablationFlush(opt Options) ([]Table, error) {
 	benches := []string{"YCSB", "Postmark", "Filebench"} // buffered-heavy trio
 	strictSpec := JIT()
 	strictSpec.JIT = core.JITOptions{StrictFlushPrediction: true}
-	specs := []PolicySpec{JIT(), strictSpec}
-	slots := make([]Results, len(benches)*len(specs))
-	err := runGrid(opt, len(slots), func(i int) error {
-		res, err := Run(benches[i/len(specs)], specs[i%len(specs)], opt)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
-	})
+	rows, err := r.grid(opt, benches, JIT(), strictSpec)
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		relaxed, strict := slots[bi*len(specs)], slots[bi*len(specs)+1]
+	for i, b := range benches {
+		relaxed, strict := rows[i][0], rows[i][1]
 		t.AddRow(b,
 			fmt.Sprintf("%d", relaxed.FGCInvocations), fmt.Sprintf("%d", strict.FGCInvocations),
 			fmt.Sprintf("%.1f", 100*relaxed.PredictionAccuracy), fmt.Sprintf("%.1f", 100*strict.PredictionAccuracy))
@@ -645,38 +622,28 @@ func ablationFlush(opt Options) ([]Table, error) {
 }
 
 // ablationVictim compares victim selectors under the L-BGC policy, where
-// selection quality dominates.
-func ablationVictim(opt Options) ([]Table, error) {
+// selection quality dominates. The greedy cells are the plain L-BGC runs;
+// only the cost-benefit cells carry their own configuration.
+func ablationVictim(r *Reproduction, opt Options) ([]Table, error) {
 	t := Table{
 		Title:   "Ablation: GC victim selector under L-BGC",
 		Columns: []string{"benchmark", "selector", "WAF", "erases"},
 	}
-	benches := []string{"YCSB", "Postmark", "TPC-C"}
-	selectors := []string{"greedy", "cost-benefit"}
-	slots := make([]Results, len(benches)*len(selectors))
-	err := runGrid(opt, len(slots), func(i int) error {
-		sel := selectors[i%len(selectors)]
-		opt2 := opt
-		cfg, _ := opt.withDefaults().simConfig()
-		if sel == "cost-benefit" {
-			cfg.FTL.Selector = ftl.CostBenefit{}
-		}
-		opt2.Config = &cfg
-		res, err := Run(benches[i/len(selectors)], Lazy(), opt2)
-		if err != nil {
-			return err
-		}
-		slots[i] = res
-		return nil
-	})
+	cfg, _ := opt.withDefaults().simConfig()
+	cfg.FTL.Selector = ftl.CostBenefit{}
+	costBenefit := opt
+	costBenefit.Config = &cfg
+	var cells []cell
+	for _, b := range []string{"YCSB", "Postmark", "TPC-C"} {
+		cells = append(cells, cell{b, Lazy(), opt}, cell{b, Lazy(), costBenefit})
+	}
+	results, err := r.results(opt, cells)
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		for si, sel := range selectors {
-			res := slots[bi*len(selectors)+si]
-			t.AddRow(b, sel, fmt.Sprintf("%.3f", res.WAF), fmt.Sprintf("%d", res.Erases))
-		}
+	for i, res := range results {
+		selector := []string{"greedy", "cost-benefit"}[i%2]
+		t.AddRow(cells[i].benchmark, selector, fmt.Sprintf("%.3f", res.WAF), fmt.Sprintf("%d", res.Erases))
 	}
 	return []Table{t}, nil
 }

@@ -47,10 +47,6 @@ type PolicySpec struct {
 	// DisableSIP turns off SIP-list forwarding and SIP-aware victim
 	// selection for Kind "JIT-GC" (ablation).
 	DisableSIP bool
-	// MaxSIPFraction is the SIP-greedy victim filter threshold: a victim
-	// candidate is avoided when more than this fraction of its valid pages
-	// is on the SIP list (default 0.30).
-	MaxSIPFraction float64
 }
 
 // Lazy returns the paper's L-BGC baseline (C_resv = 0.5 × C_OP).
@@ -99,11 +95,9 @@ func (p PolicySpec) Factory() sim.PolicyFactory {
 			}
 			j.DisableSIP = p.DisableSIP
 			if !p.DisableSIP {
-				frac := p.MaxSIPFraction
-				if frac == 0 {
-					frac = 0.30
-				}
-				env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: frac, SlackPages: 4})
+				// A victim candidate is avoided when more than 30% of its
+				// valid pages are on the SIP list.
+				env.FTL.SetSelector(ftl.SIPGreedy{MaxSIPFraction: 0.30, SlackPages: 4})
 			}
 			return j, nil
 		case "no-BGC":
@@ -249,17 +243,7 @@ func (o Options) simConfig() (sim.Config, int64) {
 // Run generates the named benchmark's request stream and executes it
 // closed-loop under the given policy.
 func Run(benchmark string, policy PolicySpec, opt Options) (Results, error) {
-	opt = opt.withDefaults()
-	gen, err := opt.generator(benchmark)
-	if err != nil {
-		return Results{}, err
-	}
-	cfg, ws := opt.simConfig()
-	reqs, err := gen.Generate(workload.Params{
-		Seed:            opt.Seed,
-		Ops:             opt.Ops,
-		WorkingSetPages: ws,
-	})
+	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {
 		return Results{}, err
 	}
@@ -317,17 +301,7 @@ func RunTrace(reqs []trace.Request, name string, policy PolicySpec, cfg sim.Conf
 // timing. The result is the upper-bound anchor against which JIT-GC's
 // practical predictors can be judged.
 func RunOracle(benchmark string, opt Options) (Results, error) {
-	opt = opt.withDefaults()
-	gen, err := opt.generator(benchmark)
-	if err != nil {
-		return Results{}, err
-	}
-	cfg, ws := opt.simConfig()
-	reqs, err := gen.Generate(workload.Params{
-		Seed:            opt.Seed,
-		Ops:             opt.Ops,
-		WorkingSetPages: ws,
-	})
+	reqs, cfg, err := GenerateStream(benchmark, opt)
 	if err != nil {
 		return Results{}, err
 	}

@@ -172,7 +172,7 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.run == nil {
 			t.Errorf("incomplete experiment %+v", e)
 		}
 		if seen[e.ID] {

@@ -1,7 +1,6 @@
 package jitgc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -33,7 +32,7 @@ func TestRunIndexedVisitsEveryCellOnce(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		const n = 37
 		visits := make([]int32, n)
-		err := runIndexed(context.Background(), workers, n, func(_ context.Context, i int) error {
+		err := runGrid(Options{Workers: workers}, n, func(i int) error {
 			atomic.AddInt32(&visits[i], 1)
 			return nil
 		})
@@ -49,24 +48,27 @@ func TestRunIndexedVisitsEveryCellOnce(t *testing.T) {
 }
 
 func TestRunIndexedEmptyAndClampedWorkers(t *testing.T) {
-	if err := runIndexed(context.Background(), 4, 0, nil); err != nil {
+	if err := runGrid(Options{Workers: 4}, 0, nil); err != nil {
 		t.Errorf("n=0: %v", err)
 	}
-	// workers below 1 clamp to a serial run rather than deadlocking.
-	ran := 0
-	err := runIndexed(context.Background(), -2, 3, func(_ context.Context, _ int) error {
-		ran++
-		return nil
-	})
-	if err != nil || ran != 3 {
-		t.Errorf("clamped run: err=%v ran=%d", err, ran)
+	// A non-positive worker count means GOMAXPROCS, and more workers than
+	// cells clamp to one per cell; neither deadlocks or skips a cell.
+	for _, workers := range []int{-2, 16} {
+		var ran atomic.Int32
+		err := runGrid(Options{Workers: workers}, 3, func(int) error {
+			ran.Add(1)
+			return nil
+		})
+		if err != nil || ran.Load() != 3 {
+			t.Errorf("workers=%d: err=%v ran=%d", workers, err, ran.Load())
+		}
 	}
 }
 
 func TestRunIndexedReturnsLowestIndexError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("cell %d failed", i) }
 	for _, workers := range []int{1, 4} {
-		err := runIndexed(context.Background(), workers, 8, func(_ context.Context, i int) error {
+		err := runGrid(Options{Workers: workers}, 8, func(i int) error {
 			if i == 2 || i == 5 {
 				return boom(i)
 			}
@@ -86,7 +88,7 @@ func TestRunIndexedReturnsLowestIndexError(t *testing.T) {
 func TestRunIndexedCancelsRemainingCells(t *testing.T) {
 	var ran int32
 	sentinel := errors.New("stop")
-	err := runIndexed(context.Background(), 2, 1000, func(_ context.Context, i int) error {
+	err := runGrid(Options{Workers: 2}, 1000, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 0 {
 			return sentinel
@@ -98,15 +100,6 @@ func TestRunIndexedCancelsRemainingCells(t *testing.T) {
 	}
 	if n := atomic.LoadInt32(&ran); n == 1000 {
 		t.Error("error did not cancel un-started cells")
-	}
-}
-
-func TestRunIndexedHonoursParentContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := runIndexed(ctx, 4, 10, func(context.Context, int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 

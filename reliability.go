@@ -32,31 +32,27 @@ var reliabilityPolicies = []PolicySpec{Lazy(), Aggressive(), JIT()}
 // fatal (raw injectors bypass recovery) and degrades the member — and
 // reports the merged survivor record: requests striped onto the dead
 // member fail fast, the survivor keeps serving its own.
-func reliability(opt Options) ([]Table, error) {
+func reliability(r *Reproduction, opt Options) ([]Table, error) {
 	sweep := Table{
 		Title: "Reliability sweep: YCSB under injected NAND faults (rate applies to reads, programs and erases; unrecoverable reads need 4 consecutive failures on one page, rate^4-rare by design)",
 		Columns: []string{"fault rate", "policy", "IOPS", "WAF", "FGC",
 			"injected", "retired", "read retries", "unrecoverable"},
 	}
-	nRates, nPols := len(reliabilityRates), len(reliabilityPolicies)
-	slots := make([]Results, nRates*nPols)
-	err := runGrid(opt, len(slots), func(i int) error {
-		rate, pol := reliabilityRates[i/nPols], reliabilityPolicies[i%nPols]
+	var cells []cell
+	for _, rate := range reliabilityRates {
 		cellOpt := opt
 		cellOpt.FaultRate = rate
-		res, err := Run("YCSB", pol, cellOpt)
-		if err != nil {
-			return fmt.Errorf("reliability %.0e/%s: %w", rate, pol.Kind, err)
+		for _, pol := range reliabilityPolicies {
+			cells = append(cells, cell{"YCSB", pol, cellOpt})
 		}
-		slots[i] = res
-		return nil
-	})
+	}
+	results, err := r.results(opt, cells)
 	if err != nil {
 		return nil, err
 	}
-	for i, res := range slots {
+	for i, res := range results {
 		sweep.AddRow(
-			fmt.Sprintf("%.0e", reliabilityRates[i/nPols]),
+			fmt.Sprintf("%.0e", cells[i].opt.FaultRate),
 			res.Policy,
 			fmt.Sprintf("%.0f", res.IOPS),
 			fmt.Sprintf("%.3f", res.WAF),
